@@ -61,16 +61,13 @@ def _cmd_validate(argv):
     args = p.parse_args(argv)
     _reject_seed(args)
     doc = sg.load_document(args.file)
-    if not isinstance(doc, dict) or "matrix" not in doc:
+    matrix = sg.matrix_from_document(doc)
+    if matrix is None:
         graph, _ = sg.graph_from_document(doc)
         result = {"kind": "graph", "ok": True, "violations": []}
         lines = [f"graph with {graph.n} vertices, {len(graph.edges)} edges: ok"]
         _emit(args, "validate", {"file": args.file}, result, human_lines=lines)
         return 0
-    if "edges" in doc:
-        raise InputError("'edges' must be absent when 'matrix' is given")
-    entries = [[sg.parse_rational(x) for x in row] for row in doc["matrix"]]
-    matrix = sg.BkmSupermatrix(doc.get("vertices", []), entries, doc.get("psi", []))
     violations = sg.validate_supermatrix(matrix)
     d = sg.symmetrizer(matrix)
     result = {"kind": "matrix", "ok": not violations, "violations": violations,

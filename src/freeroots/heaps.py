@@ -9,7 +9,10 @@ the map is a monoid morphism onto superposition.
 
 The total order on heaps compares standard words (the lexicographically
 greatest linearization, shorter words preceding their extensions), and the
-Lyndon / super Lyndon machinery is built on that order.
+Lyndon / super Lyndon machinery is built on that order: a heap is Lyndon
+exactly when its standard word is a Lyndon word (Lalonde), so one word test
+decides it and one word split factors it.  Conjugacy classes stay public as
+the definition the test suite checks the word test against.
 
 Heaps are interned per graph so standard words are computed once, and all
 parity-independent layers (enumeration, the order, Lyndon structure) are
@@ -248,14 +251,17 @@ def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
     return tuple(sorted(found, key=sort_key))
 
 
-def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
-    """All heaps of weight exactly ``k``, ascending in the heap order."""
+def _from_plain(table, graph: Supergraph, k) -> tuple[Heap, ...]:
+    """``table(plain twin, k)``, with its heaps moved back onto ``graph``."""
     k = check_weight(graph, k)
     base = plain(graph)
-    out = _enumerate_plain(base, k)
-    if base is graph:
-        return out
-    return tuple(_retag(graph, h) for h in out)
+    out = table(base, k)
+    return out if base is graph else tuple(_retag(graph, h) for h in out)
+
+
+def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
+    """All heaps of weight exactly ``k``, ascending in the heap order."""
+    return _from_plain(_enumerate_plain, graph, k)
 
 
 def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
@@ -358,48 +364,31 @@ def is_primitive(heap: Heap) -> bool:
     return is_connected_support(heap.graph, heap.weight()) and not is_periodic(heap)
 
 
+def is_lyndon_word(word) -> bool:
+    """Whether the word is strictly smaller than each of its proper suffixes."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def is_lyndon(heap: Heap) -> bool:
+    """Whether the heap is Lyndon: nonempty with a Lyndon standard word."""
+    return bool(heap.pieces) and is_lyndon_word(standard_word(heap))
+
+
 @functools.lru_cache(maxsize=None)
 def _lyndon_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
     """Lyndon heaps of weight k over a plain graph, ascending.
 
-    One conjugacy sweep per weight class: each class is closed under
-    minimal-piece rotations, its least element is the Lyndon candidate,
-    and primitivity of that candidate decides the whole class.
+    A heap is Lyndon exactly when its standard word is a Lyndon word, so
+    the enumeration (already ascending) is filtered by the word test.  The
+    definition by conjugacy classes (the least element of each class, kept
+    when primitive) is swept in the test suite as an oracle.
     """
-    if not any(k) or not is_connected_support(graph, k):
-        return ()
-    seen = set()
-    out = []
-    for h in _enumerate_plain(graph, k):
-        if h in seen:
-            continue
-        cls = conjugacy_class(h)
-        seen |= cls
-        least = min(cls, key=sort_key)
-        if is_primitive(least):
-            out.append(least)
-    return tuple(sorted(out, key=sort_key))
-
-
-@functools.lru_cache(maxsize=None)
-def _lyndon_set(graph: Supergraph, k: tuple[int, ...]) -> frozenset[Heap]:
-    return frozenset(_lyndon_plain(graph, k))
+    return tuple(h for h in _enumerate_plain(graph, k) if is_lyndon(h))
 
 
 def lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All Lyndon heaps of weight ``k``, ascending."""
-    k = check_weight(graph, k)
-    base = plain(graph)
-    out = _lyndon_plain(base, k)
-    if base is graph:
-        return out
-    return tuple(_retag(graph, h) for h in out)
-
-
-def is_lyndon(heap: Heap) -> bool:
-    base = plain(heap.graph)
-    twin = _retag(base, heap)
-    return twin in _lyndon_set(base, twin.weight())
+    return _from_plain(_lyndon_plain, graph, k)
 
 
 def super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
@@ -457,7 +446,7 @@ def classify(heap: Heap) -> HeapClasses:
     elementary = pyramid and sum(1 for p, _ in heap.pieces if p == base) == 1
     super_letter = admissible and elementary
     primitive = is_primitive(heap)
-    lyndon = primitive and is_lyndon(heap)
+    lyndon = is_lyndon(heap)
     super_lyndon = lyndon or _square_root_if_odd_lyndon(heap) is not None
     return HeapClasses(pyramid=pyramid, admissible_pyramid=admissible,
                        elementary=elementary, super_letter=super_letter,

@@ -412,12 +412,19 @@ def parse_rational(x) -> Fraction:
     raise InputError(f"bad matrix entry {x!r}")
 
 
-def graph_from_document(doc: dict) -> tuple[Supergraph, BkmSupermatrix | None]:
-    """Build a supergraph from the JSON input schema.
+def _array(doc: dict, key: str, item_ok, items: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(map(item_ok, value)):
+        raise InputError(f"'{key}' must be an array of {items}")
+    return value
 
-    With a ``matrix`` the edges are derived (and must be absent); without
-    one the graph gets empty real / psi0 annotations.
-    """
+
+def _is_vertex(v) -> bool:
+    return type(v) in (str, int)
+
+
+def matrix_from_document(doc: dict) -> BkmSupermatrix | None:
+    """Shape-check a graph document; its supermatrix (unvalidated) or None."""
     if not isinstance(doc, dict):
         raise InputError("graph document must be a JSON object")
     unknown = set(doc) - _GRAPH_KEYS
@@ -425,16 +432,28 @@ def graph_from_document(doc: dict) -> tuple[Supergraph, BkmSupermatrix | None]:
         raise InputError(f"unknown keys in graph document: {sorted(unknown)}")
     if "vertices" not in doc:
         raise InputError("graph document needs a 'vertices' array")
-    names = doc["vertices"]
-    psi = doc.get("psi", [])
-    if "matrix" in doc:
-        if "edges" in doc:
-            raise InputError("'edges' must be absent when 'matrix' is given")
-        entries = [[parse_rational(x) for x in row] for row in doc["matrix"]]
-        matrix = BkmSupermatrix(names, entries, psi)
-        return quasi_dynkin(matrix), matrix
-    graph = Supergraph(names, doc.get("edges", ()), psi)
-    return graph, None
+    names = _array(doc, "vertices", _is_vertex, "vertex names")
+    psi = _array(doc, "psi", _is_vertex, "vertex names or indices")
+    _array(doc, "edges", lambda e: type(e) is list and len(e) == 2
+           and all(map(_is_vertex, e)), "[vertex, vertex] pairs")
+    if "matrix" not in doc:
+        return None
+    if "edges" in doc:
+        raise InputError("'edges' must be absent when 'matrix' is given")
+    rows = _array(doc, "matrix", lambda row: type(row) is list, "rows")
+    return BkmSupermatrix(names, [[parse_rational(x) for x in row] for row in rows], psi)
+
+
+def graph_from_document(doc: dict) -> tuple[Supergraph, BkmSupermatrix | None]:
+    """Build a supergraph from the JSON input schema.
+
+    With a ``matrix`` the edges are derived (and must be absent); without
+    one the graph gets empty real / psi0 annotations.
+    """
+    matrix = matrix_from_document(doc)
+    if matrix is None:
+        return Supergraph(doc["vertices"], doc.get("edges", ()), doc.get("psi", ())), None
+    return quasi_dynkin(matrix), matrix
 
 
 def load_document(path) -> dict:

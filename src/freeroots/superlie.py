@@ -23,7 +23,8 @@ from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, heap_from_word, superpose, single, standard_word,
                     sort_key, enumerate_heaps, super_lyndon_heaps, classify,
-                    standard_factorization, super_letter_factors, heaps_up_to)
+                    standard_factorization, super_letter_factors, heaps_up_to,
+                    is_lyndon_word, word_standard_factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,9 @@ def bracket_expand(p: HeapPolynomial, q: HeapPolynomial) -> HeapPolynomial:
     return p.concat(q) + q.concat(p) * sign
 
 
+@functools.lru_cache(maxsize=None)
 def expand_monomial(m: LieMonomial, graph: Supergraph) -> HeapPolynomial:
-    """Integer heap expansion of a bracket tree."""
+    """Integer heap expansion of a bracket tree (shared; do not mutate)."""
     if m.is_leaf:
         return HeapPolynomial.generator(graph, m.name)
     return bracket_expand(expand_monomial(m.left, graph),
@@ -366,12 +368,8 @@ def lambda_monomial(heap: Heap) -> LieMonomial:
     return bracket(lambda_monomial(f), lambda_monomial(n))
 
 
-@functools.lru_cache(maxsize=None)
 def _expand_lambda(heap: Heap) -> HeapPolynomial:
-    if len(heap) == 1:
-        return HeapPolynomial(heap.graph, {heap: 1})
-    f, n = standard_factorization(heap)
-    return bracket_expand(_expand_lambda(f), _expand_lambda(n))
+    return expand_monomial(lambda_monomial(heap), heap.graph)
 
 
 @dataclass(frozen=True)
@@ -454,41 +452,37 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
 
 
 def _letter_word_factorization(letters: tuple[Heap, ...]):
-    """Standard factorization of a word over the super-letter alphabet."""
-    if len(letters) < 2:
-        raise InputError("cannot factor a single letter")
-    keys = tuple(sort_key(l) for l in letters)
-    best = len(letters) - 1
-    for s in range(1, len(letters) - 1):
-        if keys[s:] < keys[best:]:
-            best = s
-    return letters[:best], letters[best:]
+    """Standard factorization of a word over the super-letter alphabet.
+
+    Letters compare by their heap sort keys, so the word split of the heap
+    layer applies to the tuple of keys.
+    """
+    u, _ = word_standard_factorization(tuple(sort_key(l) for l in letters))
+    return letters[:len(u)], letters[len(u):]
 
 
 def _is_letter_lyndon(letters: tuple[Heap, ...]) -> bool:
-    keys = tuple(sort_key(l) for l in letters)
-    return all(keys < keys[r:] + keys[:r] for r in range(1, len(keys)))
+    return is_lyndon_word(tuple(sort_key(l) for l in letters))
+
+
+def _is_odd_lyndon_square(letters: tuple[Heap, ...]) -> bool:
+    """Whether the word is u u with u an odd Lyndon word."""
+    half = len(letters) // 2
+    u = letters[:half]
+    return (len(letters) % 2 == 0 and letters[half:] == u
+            and sum(l.parity() for l in u) % 2 == 1 and _is_letter_lyndon(u))
 
 
 def _is_letter_super_lyndon(letters: tuple[Heap, ...]) -> bool:
-    if _is_letter_lyndon(letters):
-        return True
-    half = len(letters) // 2
-    if len(letters) % 2 == 0 and letters[:half] == letters[half:]:
-        u = letters[:half]
-        return _is_letter_lyndon(u) and sum(l.parity() for l in u) % 2 == 1
-    return False
+    return _is_letter_lyndon(letters) or _is_odd_lyndon_square(letters)
 
 
 def _letter_tree(letters: tuple[Heap, ...]) -> LieMonomial:
     """Bracket tree of a super Lyndon letter word; leaves are left-normed."""
     if len(letters) == 1:
         return left_normed(letters[0].graph.names[p] for p in standard_word(letters[0]))
-    half = len(letters) // 2
-    if (len(letters) % 2 == 0 and letters[:half] == letters[half:]
-            and sum(l.parity() for l in letters[:half]) % 2 == 1
-            and _is_letter_lyndon(letters[:half])):
-        u, v = letters[:half], letters[half:]
+    if _is_odd_lyndon_square(letters):
+        u = v = letters[:len(letters) // 2]
     else:
         u, v = _letter_word_factorization(letters)
     return bracket(_letter_tree(u), _letter_tree(v))

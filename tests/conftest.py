@@ -69,6 +69,18 @@ PATH6_MATRIX = [
 ]
 
 
+# Graph documents of the wrong shape; each must be refused with InputError.
+MALFORMED_DOCUMENTS = [
+    {"vertices": ["a"], "matrix": 5},
+    {"vertices": ["a"], "matrix": [5]},
+    {"vertices": 5},
+    {"vertices": ["a"], "psi": 3},
+    {"vertices": ["a"], "psi": [True]},
+    {"vertices": ["a", "b"], "edges": [["a"]]},
+    {"vertices": ["a", "b"], "edges": "ab"},
+]
+
+
 @pytest.fixture(scope="session")
 def tree6_matrix():
     return TREE6_MATRIX

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from freeroots.cli import main
-from conftest import TREE6_MATRIX, PATH6_MATRIX
+from conftest import TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS
 
 
 @pytest.fixture()
@@ -65,6 +65,15 @@ def test_validate_bad_matrix(tmp_path, capsys):
 def test_missing_file_is_input_error(capsys):
     assert main(["validate", "/nonexistent/g.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS)
+def test_document_of_wrong_shape_is_input_error(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["mult", "--graph", str(path), "--weight", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_mult_example(tree6_file, capsys):

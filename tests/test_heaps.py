@@ -9,7 +9,8 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              single, superpose, standard_word, compare,
                              sort_key, enumerate_heaps, heaps_up_to, classify,
                              conjugacy_class, decompositions, is_primitive,
-                             is_lyndon, lyndon_heaps, super_lyndon_heaps,
+                             is_lyndon, is_lyndon_word, lyndon_heaps,
+                             super_lyndon_heaps,
                              enumerate_super_lyndon_heaps,
                              standard_factorization, super_letter_factors,
                              word_class, lyndon_words_of_content)
@@ -298,6 +299,44 @@ def test_lyndon_matches_brute_force():
                 cls = brute_conjugacy_class(h)
                 brute = brute_primitive(h) and all(sort_key(h) <= sort_key(o) for o in cls)
                 assert is_lyndon(h) == brute, h
+
+
+def sweep_lyndon_heaps(graph, k):
+    """Least element of each conjugacy class, kept when primitive."""
+    seen = set()
+    out = set()
+    for h in enumerate_heaps(graph, k):
+        if h.pieces and h not in seen:
+            cls = conjugacy_class(h)
+            seen |= cls
+            least = min(cls, key=sort_key)
+            if is_primitive(least):
+                out.add(least)
+    return out
+
+
+def test_lyndon_word_test_matches_conjugacy_sweep():
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                graph = Supergraph("abcd"[:n], edges)
+                for k in itertools.product(range(4), repeat=n):
+                    if sum(k) > 6:
+                        continue
+                    sweep = sweep_lyndon_heaps(graph, k)
+                    expected = tuple(sorted(sweep, key=sort_key))
+                    assert lyndon_heaps(graph, k) == expected, (graph, k)
+                    for h in enumerate_heaps(graph, k):
+                        assert is_lyndon(h) == (h in sweep), h
+
+
+def test_lyndon_word_matches_rotation_oracle():
+    for k in itertools.product(range(4), repeat=3):
+        letters = [i for i, c in enumerate(k) for _ in range(c)]
+        words = set(itertools.permutations(letters))
+        expected = set(lyndon_words_of_content(k))
+        assert {w for w in words if is_lyndon_word(w)} == expected, k
 
 
 def test_super_lyndon_weight_33(tree6):

@@ -9,6 +9,7 @@ from freeroots import (Supergraph, BkmSupermatrix, InputError,
                        is_free_weight, is_connected_support, join_graph,
                        independent_sets, graph_from_document, parse_weight)
 from freeroots.supergraph import plain, weights_up_to, support, ht
+from conftest import MALFORMED_DOCUMENTS
 
 
 def test_duplicate_vertex_names_rejected():
@@ -224,6 +225,12 @@ def test_document_bad_rational():
 def test_document_unknown_key():
     with pytest.raises(InputError):
         graph_from_document({"vertices": ["a"], "colour": 1})
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS)
+def test_document_of_wrong_shape(doc):
+    with pytest.raises(InputError):
+        graph_from_document(doc)
 
 
 def test_parse_weight(tree6):
