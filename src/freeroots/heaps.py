@@ -9,10 +9,14 @@ the map is a monoid morphism onto superposition.
 
 The total order on heaps compares standard words (the lexicographically
 greatest linearization, shorter words preceding their extensions), and the
-Lyndon / super Lyndon machinery is built on that order: a heap is Lyndon
-exactly when its standard word is a Lyndon word (Lalonde), so one word test
-decides it and one word split factors it.  Conjugacy classes stay public as
-the definition the test suite checks the word test against.
+standard word decides all of the Lyndon structure with word tests alone:
+a heap is Lyndon exactly when its standard word is a Lyndon word (Lalonde);
+it is super Lyndon exactly when the word is Lyndon or the square of an odd
+Lyndon word; its standard factorization is the word's split; and its
+super-letter factors are the pieces of the word cut before each base
+letter.  Conjugacy classes and decompositions stay public, and square
+roots are searched for in the test suite, as the definitions the word
+rules are checked against.
 
 Heaps are interned per graph so standard words are computed once, and all
 parity-independent layers (enumeration, the order, Lyndon structure) are
@@ -165,29 +169,6 @@ def superpose(left: Heap, right: Heap) -> Heap:
     return _retag(graph, out)
 
 
-def _order_closure(heap: Heap) -> list[int]:
-    """``above[i]`` = bitmask of pieces strictly above piece i in the heap order.
-
-    Pieces are indexed by their rank in ``heap.pieces``.  The covering
-    relation links lower to higher levels on equal-or-adjacent positions;
-    the returned masks are its transitive closure.
-    """
-    ps = heap.pieces
-    m = len(ps)
-    zeta = heap.graph.zeta
-    by_level = sorted(range(m), key=lambda i: ps[i][1], reverse=True)
-    above = [0] * m
-    for i in by_level:
-        pi, li = ps[i]
-        acc = 0
-        for j in range(m):
-            pj, lj = ps[j]
-            if lj > li and (zeta[pi] >> pj) & 1:
-                acc |= (1 << j) | above[j]
-        above[i] = acc
-    return above
-
-
 def standard_word(heap: Heap) -> tuple[int, ...]:
     """Lexicographically greatest linearization, as a tuple of positions.
 
@@ -195,32 +176,28 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
     them) take the one with the greatest position.  Minimal pieces occupy
     pairwise non-adjacent distinct positions, so the choice is unique and
     the greedy word dominates every other linearization letter by letter.
+    Pieces on equal or adjacent positions are ordered by level, so the
+    lowest remaining piece of a position is minimal exactly when it lies
+    below the lowest remaining piece of every neighbouring position.
     """
     if heap._st is not None:
         return heap._st
-    ps = heap.pieces
-    m = len(ps)
-    above = _order_closure(heap)
-    below = [0] * m
-    for i in range(m):
-        mask = above[i]
-        while mask:
-            b = mask & -mask
-            below[b.bit_length() - 1] |= 1 << i
-            mask ^= b
-    remaining = (1 << m) - 1
+    m = len(heap.pieces)
+    zn = heap.graph.zeta_neighbors
+    stacks = [[m] for _ in zn]  # remaining levels per position, lowest last
+    for p, lvl in reversed(heap.pieces):
+        stacks[p].append(lvl)
+    low = [st[-1] for st in stacks]  # m once a position is used up
+    at = low.__getitem__
+    order = range(len(zn) - 1, -1, -1)
     out = []
-    while remaining:
-        best = -1
-        mask = remaining
-        while mask:
-            b = mask & -mask
-            i = b.bit_length() - 1
-            if not (below[i] & remaining) and (best < 0 or ps[i][0] > ps[best][0]):
-                best = i
-            mask ^= b
-        out.append(ps[best][0])
-        remaining ^= 1 << best
+    for _ in range(m):
+        for p in order:  # zn[p] holds p itself, so the min is at most low[p]
+            if low[p] < m and min(map(at, zn[p])) == low[p]:
+                break
+        stacks[p].pop()
+        low[p] = stacks[p][-1]
+        out.append(p)
     heap._st = tuple(out)
     return heap._st
 
@@ -276,27 +253,17 @@ def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...
 def decompositions(heap: Heap):
     """All splits ``heap = left o right`` with both parts nonempty.
 
-    The right parts are exactly the nonempty proper up-closed subsets of
-    the heap order; each part is re-canonicalized.
+    The right parts are exactly the nonempty proper subsets closed upward
+    under "higher level on an equal or adjacent position", the relation
+    that generates the heap order; each part is re-canonicalized.
     """
     ps = heap.pieces
     m = len(ps)
-    if m < 2:
-        return
-    above = _order_closure(heap)
-    full = (1 << m) - 1
-    for sub in range(1, full):
-        filt = sub
-        ok = True
-        mask = sub
-        while mask:
-            b = mask & -mask
-            i = b.bit_length() - 1
-            if above[i] & ~filt:
-                ok = False
-                break
-            mask ^= b
-        if not ok:
+    zeta = heap.graph.zeta
+    above = [sum(1 << j for j, (q, lj) in enumerate(ps) if lj > li and zeta[p] >> q & 1)
+             for p, li in ps]
+    for sub in range(1, (1 << m) - 1):
+        if any(sub >> i & 1 and above[i] & ~sub for i in range(m)):
             continue
         right = heap_from_pieces(heap.graph, [ps[i] for i in range(m) if sub >> i & 1])
         left = heap_from_pieces(heap.graph, [ps[i] for i in range(m) if not sub >> i & 1])
@@ -369,6 +336,38 @@ def is_lyndon_word(word) -> bool:
     return all(word < word[i:] for i in range(1, len(word)))
 
 
+def is_odd_lyndon_square(word, odd) -> bool:
+    """Whether the word is ``u u`` with ``u`` a Lyndon word of odd parity.
+
+    ``odd`` is the alphabet's parity test: a container of its odd letters.
+    """
+    half, rest = divmod(len(word), 2)
+    u = word[:half]
+    return (half > 0 and not rest and word[half:] == u
+            and sum(x in odd for x in u) % 2 == 1 and is_lyndon_word(u))
+
+
+def is_super_lyndon_word(word, odd) -> bool:
+    """Whether the word is nonempty and Lyndon, or an odd Lyndon square."""
+    return bool(word) and (is_lyndon_word(word) or is_odd_lyndon_square(word, odd))
+
+
+def word_standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a word at its lexicographically smallest proper suffix.
+
+    A Lyndon word ``u`` is unbordered and smaller than its proper suffixes,
+    so the least proper suffix of a square ``u u`` is ``u``: squares split
+    as ``(u, u)``.
+    """
+    if len(word) < 2:
+        raise InputError("cannot factor a single letter")
+    best = len(word) - 1
+    for s in range(1, len(word) - 1):
+        if word[s:] < word[best:]:
+            best = s
+    return word[:best], word[best:]
+
+
 def is_lyndon(heap: Heap) -> bool:
     """Whether the heap is Lyndon: nonempty with a Lyndon standard word."""
     return bool(heap.pieces) and is_lyndon_word(standard_word(heap))
@@ -406,17 +405,6 @@ def enumerate_super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     return super_lyndon_heaps(graph, k)
 
 
-def _square_root_if_odd_lyndon(heap: Heap) -> Heap | None:
-    """F with heap = F o F and F odd and Lyndon, if such a root exists."""
-    k = heap.weight()
-    if not any(k) or any(x % 2 for x in k):
-        return None
-    for f in lyndon_heaps(heap.graph, divide_weight(k, 2)):
-        if f.parity() == 1 and superpose(f, f) == heap:
-            return f
-    return None
-
-
 class HeapClasses:
     """Classification flags for a nonempty heap."""
 
@@ -447,7 +435,7 @@ def classify(heap: Heap) -> HeapClasses:
     super_letter = admissible and elementary
     primitive = is_primitive(heap)
     lyndon = is_lyndon(heap)
-    super_lyndon = lyndon or _square_root_if_odd_lyndon(heap) is not None
+    super_lyndon = lyndon or is_odd_lyndon_square(standard_word(heap), heap.graph.psi)
     return HeapClasses(pyramid=pyramid, admissible_pyramid=admissible,
                        elementary=elementary, super_letter=super_letter,
                        primitive=primitive, lyndon=lyndon,
@@ -457,34 +445,24 @@ def classify(heap: Heap) -> HeapClasses:
 # ---------------------------------------------------------------------------
 # Standard factorization.
 
-def word_standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a word at its lexicographically smallest proper suffix."""
-    if len(word) < 2:
-        raise InputError("cannot factor a single letter")
-    best = len(word) - 1
-    for s in range(1, len(word) - 1):
-        if word[s:] < word[best:]:
-            best = s
-    return word[:best], word[best:]
-
-
 def standard_factorization(heap: Heap) -> tuple[Heap, Heap]:
     """(F, N) with heap = F o N and N the least Lyndon right factor.
 
-    For a square of an odd Lyndon heap the split is (F, F).  Otherwise the
-    split is read off the standard word: the heap factorization with
-    minimal Lyndon right factor corresponds to the word split at the
-    smallest proper suffix.  The brute-force search over all two-part
-    decompositions is kept as a test oracle.
+    Both are read off the standard word.  A prefix of a standard word is
+    the standard word of its own heap and the rest is the standard word of
+    the remaining pieces, so the heap factorization with minimal Lyndon
+    right factor is the word split at the smallest proper suffix.  A
+    Lyndon heap F has a single minimal piece, on the least letter of its
+    word, so st(F o F) = st(F)^2, whose least proper suffix is st(F): the
+    square of an odd Lyndon heap splits as (F, F).  The brute-force search
+    over all two-part decompositions is kept as a test oracle.
     """
     if len(heap) < 2:
         raise InputError("cannot factor a heap with fewer than 2 pieces")
-    root = _square_root_if_odd_lyndon(heap)
-    if root is not None:
-        return root, root
-    if not is_lyndon(heap):
+    word = standard_word(heap)
+    if not is_super_lyndon_word(word, heap.graph.psi):
         raise InputError(f"{heap!r} is not a super Lyndon heap")
-    u, v = word_standard_factorization(standard_word(heap))
+    u, v = word_standard_factorization(word)
     return heap_from_word(heap.graph, u), heap_from_word(heap.graph, v)
 
 
@@ -496,11 +474,11 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
 
     The base defaults to the least vertex of the graph; any other base is
     handled by working in the order that makes it least (factors are
-    returned over the original graph).  The base pieces split the heap:
-    the j-th factor consists of the pieces above the j-th base piece but
-    not above the (j+1)-th.  Each factor must come out a super-letter,
-    else the heap is not a product of super-letters and an InputError is
-    raised.
+    returned over the original graph).  The standard word of a product of
+    super-letters is the concatenation of theirs, each starting with the
+    base letter and using it once; so the word is cut before each base
+    letter.  Each piece must be the word of a super-letter, else the heap
+    is not a product of super-letters and an InputError is raised.
     """
     graph = heap.graph
     b = 0 if base is None else graph.index(base)
@@ -512,26 +490,15 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
         return tuple(
             heap_from_pieces(graph, [(order[p], lvl) for p, lvl in f.pieces])
             for f in super_letter_factors(twin))
-    ps = heap.pieces
-    above = _order_closure(heap)
-    bases = sorted((lvl, i) for i, (p, lvl) in enumerate(ps) if p == 0)
-    if not bases:
+    word = standard_word(heap)
+    cuts = [i for i, p in enumerate(word) if p == 0]
+    if not cuts:
         raise InputError("no piece on the base vertex")
-    upsets = [(1 << i) | above[i] for _, i in bases]
-    upsets.append(0)
-    factors = []
-    for j in range(len(bases)):
-        mask = upsets[j] & ~upsets[j + 1]
-        factor = heap_from_pieces(graph, [ps[i] for i in range(len(ps)) if mask >> i & 1])
-        if not classify(factor).super_letter:
-            raise InputError(f"{heap!r} is not a product of super-letters")
-        factors.append(factor)
-    product = factors[0]
-    for f in factors[1:]:
-        product = superpose(product, f)
-    if product != heap:
+    factors = tuple(heap_from_word(graph, word[i:j])
+                    for i, j in zip(cuts, cuts[1:] + [len(word)]))
+    if cuts[0] or not all(classify(f).super_letter for f in factors):
         raise InputError(f"{heap!r} is not a product of super-letters")
-    return tuple(factors)
+    return factors
 
 
 # ---------------------------------------------------------------------------

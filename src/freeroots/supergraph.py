@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InputError
@@ -155,7 +156,10 @@ def plain(graph: Supergraph) -> Supergraph:
 # Weight helpers.  A weight is a tuple of non-negative ints in vertex order.
 
 def check_weight(graph: Supergraph, k) -> tuple[int, ...]:
-    k = tuple(int(x) for x in k)
+    try:
+        k = tuple(map(operator.index, k))
+    except TypeError:
+        raise InputError(f"weight entries must be integers, got {k!r}") from None
     if len(k) != graph.n:
         raise InputError(f"weight has {len(k)} entries, graph has {graph.n} vertices")
     if any(x < 0 for x in k):
@@ -433,6 +437,8 @@ def matrix_from_document(doc: dict) -> BkmSupermatrix | None:
     if "vertices" not in doc:
         raise InputError("graph document needs a 'vertices' array")
     names = _array(doc, "vertices", _is_vertex, "vertex names")
+    if not names:
+        raise InputError("'vertices' must not be empty")
     psi = _array(doc, "psi", _is_vertex, "vertex names or indices")
     _array(doc, "edges", lambda e: type(e) is list and len(e) == 2
            and all(map(_is_vertex, e)), "[vertex, vertex] pairs")
@@ -464,6 +470,8 @@ def load_document(path) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_graph(path) -> tuple[Supergraph, BkmSupermatrix | None]:

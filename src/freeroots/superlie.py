@@ -23,8 +23,8 @@ from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, heap_from_word, superpose, single, standard_word,
                     sort_key, enumerate_heaps, super_lyndon_heaps, classify,
-                    standard_factorization, super_letter_factors, heaps_up_to,
-                    is_lyndon_word, word_standard_factorization)
+                    super_letter_factors, heaps_up_to, is_super_lyndon_word,
+                    word_standard_factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +359,30 @@ def _expansion_matrix(graph: Supergraph, k, expansions) -> RankCertificate:
 # ---------------------------------------------------------------------------
 # The Lyndon-heaps basis.
 
+def _word_tree(word, leaf_of) -> LieMonomial:
+    """Bracket tree of a super Lyndon word by recursive standard factorization.
+
+    ``leaf_of`` turns a letter into its leaf monomial.
+    """
+    if len(word) == 1:
+        return leaf_of(word[0])
+    u, v = word_standard_factorization(word)
+    return bracket(_word_tree(u, leaf_of), _word_tree(v, leaf_of))
+
+
 @functools.lru_cache(maxsize=None)
 def lambda_monomial(heap: Heap) -> LieMonomial:
-    """Bracket tree from the recursive standard factorization."""
-    if len(heap) == 1:
-        return leaf(heap.graph.names[heap.pieces[0][0]])
-    f, n = standard_factorization(heap)
-    return bracket(lambda_monomial(f), lambda_monomial(n))
+    """Bracket tree from the recursive standard factorization.
+
+    The factorization of a super Lyndon heap is the split of its standard
+    word, and each part's standard word is the corresponding subword, so
+    the tree is built on the word with vertex names as leaves.
+    """
+    word = standard_word(heap)
+    if not is_super_lyndon_word(word, heap.graph.psi):
+        raise InputError(f"{heap!r} is not a super Lyndon heap")
+    names = heap.graph.names
+    return _word_tree(word, lambda p: leaf(names[p]))
 
 
 def _expand_lambda(heap: Heap) -> HeapPolynomial:
@@ -451,50 +468,15 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
     return tuple(sorted(letters, key=sort_key))
 
 
-def _letter_word_factorization(letters: tuple[Heap, ...]):
-    """Standard factorization of a word over the super-letter alphabet.
-
-    Letters compare by their heap sort keys, so the word split of the heap
-    layer applies to the tuple of keys.
-    """
-    u, _ = word_standard_factorization(tuple(sort_key(l) for l in letters))
-    return letters[:len(u)], letters[len(u):]
-
-
-def _is_letter_lyndon(letters: tuple[Heap, ...]) -> bool:
-    return is_lyndon_word(tuple(sort_key(l) for l in letters))
-
-
-def _is_odd_lyndon_square(letters: tuple[Heap, ...]) -> bool:
-    """Whether the word is u u with u an odd Lyndon word."""
-    half = len(letters) // 2
-    u = letters[:half]
-    return (len(letters) % 2 == 0 and letters[half:] == u
-            and sum(l.parity() for l in u) % 2 == 1 and _is_letter_lyndon(u))
-
-
-def _is_letter_super_lyndon(letters: tuple[Heap, ...]) -> bool:
-    return _is_letter_lyndon(letters) or _is_odd_lyndon_square(letters)
-
-
-def _letter_tree(letters: tuple[Heap, ...]) -> LieMonomial:
-    """Bracket tree of a super Lyndon letter word; leaves are left-normed."""
-    if len(letters) == 1:
-        return left_normed(letters[0].graph.names[p] for p in standard_word(letters[0]))
-    if _is_odd_lyndon_square(letters):
-        u = v = letters[:len(letters) // 2]
-    else:
-        u, v = _letter_word_factorization(letters)
-    return bracket(_letter_tree(u), _letter_tree(v))
-
-
 def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
     """Basis from super Lyndon words over the super-letter alphabet of ``base``.
 
     Each word is the unique super-letter factorization of a super Lyndon
     heap of weight k (computed in the order that makes ``base`` least);
     its bracket tree follows the word's standard factorization and each
-    letter becomes the left-normed bracket of its standard word.
+    letter becomes the left-normed bracket of its standard word.  Letters
+    compare by their standard words, so the word over the alphabet is the
+    tuple of those words.
     """
     k = check_weight(graph, k)
     work, i = _base_first_order(graph, base)
@@ -504,10 +486,12 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
     elements = []
     for heap in super_lyndon_heaps(work, wk):
         letters = super_letter_factors(heap)
-        if not _is_letter_super_lyndon(letters):
+        word = tuple(standard_word(l) for l in letters)
+        odd = {w for w, l in zip(word, letters) if l.parity()}
+        if not is_super_lyndon_word(word, odd):
             raise ConsistencyError(
                 f"{heap!r} factors into super-letters but the word is not super Lyndon")
-        monomial = _letter_tree(letters)
+        monomial = _word_tree(word, lambda w: left_normed(work.names[p] for p in w))
         elements.append(BasisElement(heap, monomial,
                                      expand_monomial(monomial, work), letters))
     cert = _expansion_matrix(work, wk, [e.expansion for e in elements])

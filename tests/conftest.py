@@ -78,6 +78,8 @@ MALFORMED_DOCUMENTS = [
     {"vertices": ["a"], "psi": [True]},
     {"vertices": ["a", "b"], "edges": [["a"]]},
     {"vertices": ["a", "b"], "edges": "ab"},
+    {"vertices": []},
+    {"vertices": [], "matrix": []},
 ]
 
 

@@ -76,6 +76,14 @@ def test_document_of_wrong_shape_is_input_error(doc, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"vertices": ["a"]}).encode("utf-16-le"))
+    for argv in (["validate", str(path)], ["mult", "--graph", str(path), "--weight", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_mult_example(tree6_file, capsys):
     code, doc = run_json(capsys, ["mult", "--graph", tree6_file,
                                   "--weight", "0,0,3,0,0,3"])

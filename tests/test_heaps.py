@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              enumerate_super_lyndon_heaps,
                              standard_factorization, super_letter_factors,
                              word_class, lyndon_words_of_content)
+from freeroots.superlie import super_letter_alphabet
 
 THREE_VERTEX_EDGE_SETS = [(), ((0, 1),), ((0, 2),), ((1, 2),),
                           ((0, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 2)),
@@ -26,6 +28,14 @@ def three_vertex_graphs(psi=()):
 
 def random_word(rng, graph, max_len=7):
     return [rng.randrange(graph.n) for _ in range(rng.randint(0, max_len))]
+
+
+def all_graphs(n):
+    """Every graph on the vertices a, b, ... (n of them), without odd vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            yield Supergraph("abcd"[:n], edges)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +126,17 @@ def test_standard_word_is_lex_max_of_class(p4, tree6_plain):
             h = heap_from_word(graph, word)
             cls = word_class(graph, word)
             assert standard_word(h) == max(cls) if cls else ()
+
+
+def test_standard_word_is_lex_max_of_every_small_class(p4):
+    """Every heap with entries <= 2 on every graph with at most 3 vertices and p4."""
+    graphs = [g for n in (1, 2, 3) for g in all_graphs(n)] + [p4]
+    for graph in graphs:
+        for k in itertools.product(range(3), repeat=graph.n):
+            for h in enumerate_heaps(graph, k):
+                by_level = sorted(h.pieces, key=lambda pl: (pl[1], pl[0]))
+                cls = word_class(graph, [p for p, _ in by_level])
+                assert standard_word(h) == max(cls), h
 
 
 def test_word_roundtrip(p4, tree6_plain):
@@ -362,6 +383,32 @@ def test_super_lyndon_complete_graph_matches_word_count():
         assert len(super_lyndon_heaps(godd, k)) == expected
 
 
+def test_super_lyndon_word_rule_matches_square_definition():
+    """Super Lyndon = Lyndon or F o F with F odd Lyndon; squares split as (F, F).
+
+    Every graph with at most 4 vertices and every psi; every heap whose
+    weight has even entries and height <= 6.  The squares are built from
+    the heaps, not read off words.
+    """
+    seen_squares = 0
+    for n in range(1, 5):
+        for plain_graph in all_graphs(n):
+            for r in range(n + 1):
+                for psi in itertools.combinations(range(n), r):
+                    graph = Supergraph(plain_graph.names, plain_graph.edges, psi=psi)
+                    for half in itertools.product(range(4), repeat=n):
+                        if not 0 < sum(half) <= 3:
+                            continue
+                        squares = {superpose(f, f): f for f in lyndon_heaps(graph, half)
+                                   if f.parity() == 1}
+                        for h in enumerate_heaps(graph, tuple(2 * x for x in half)):
+                            assert classify(h).super_lyndon == (is_lyndon(h) or h in squares), h
+                            if h in squares:
+                                seen_squares += 1
+                                assert standard_factorization(h) == (squares[h], squares[h]), h
+    assert seen_squares
+
+
 def test_disconnected_weight_has_no_super_lyndon(p4):
     assert super_lyndon_heaps(p4, (1, 0, 1, 0)) == ()
 
@@ -431,6 +478,34 @@ def test_super_letter_factors_unique_for_products(path6):
         for l in seq[1:]:
             prod = superpose(prod, l)
         assert list(super_letter_factors(prod, base="3")) == seq
+
+
+def test_super_letter_factors_of_alphabet_products(path6):
+    """Every product of 1-3 super-letters over base 3 splits back into them."""
+    alphabet = super_letter_alphabet(path6, "3", (1, 1, 1, 1, 2, 1))
+    assert len(alphabet) == 21
+    for r in (1, 2, 3):
+        for seq in itertools.product(alphabet, repeat=r):
+            assert super_letter_factors(functools.reduce(superpose, seq), base="3") == seq
+
+
+def test_super_letter_factors_of_every_heap(path6):
+    """Each heap either is refused or splits into super-letters over base 3."""
+    work = path6.with_order((2, 0, 1, 3, 4, 5))  # base 3 least
+    refused = split = 0
+    for k in ((0, 0, 2, 1, 2, 1), (1, 1, 2, 1, 1, 1), (0, 1, 2, 1, 1, 0), (0, 1, 3, 1, 1, 1)):
+        for h in enumerate_heaps(path6, k):
+            try:
+                factors = super_letter_factors(h, base="3")
+            except InputError:
+                refused += 1
+                continue
+            split += 1
+            assert functools.reduce(superpose, factors) == h
+            for f in factors:
+                twin = heap_from_word(work, [path6.names[p] for p in standard_word(f)])
+                assert classify(twin).super_letter, (h, f)
+    assert refused and split
 
 
 def test_super_letter_factors_rejects_non_products(p4):

@@ -7,7 +7,8 @@ from fractions import Fraction
 from freeroots import (Supergraph, BkmSupermatrix, InputError,
                        validate_supermatrix, symmetrizer, quasi_dynkin,
                        is_free_weight, is_connected_support, join_graph,
-                       independent_sets, graph_from_document, parse_weight)
+                       independent_sets, graph_from_document, parse_weight,
+                       enumerate_heaps, mult_free_root)
 from freeroots.supergraph import plain, weights_up_to, support, ht
 from conftest import MALFORMED_DOCUMENTS
 
@@ -241,6 +242,14 @@ def test_parse_weight(tree6):
         parse_weight(tree6, "0,0,-1,0,0,0")
     with pytest.raises(InputError):
         parse_weight(tree6, "a,b,c,d,e,f")
+
+
+@pytest.mark.parametrize("k", [(1.5, 1), (2.9, 1), ("x", 1), ("1", 1), 5])
+def test_non_integer_weight_is_input_error(k):
+    g = Supergraph(["a", "b"], [(0, 1)])
+    for call in (mult_free_root, enumerate_heaps):
+        with pytest.raises(InputError):
+            call(g, k)
 
 
 # ---------------------------------------------------------------------------
