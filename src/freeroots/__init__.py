@@ -24,12 +24,28 @@ from .superlie import (LieMonomial, leaf, bracket, left_normed,
                        super_letter_alphabet, lln_basis, lambda_equals_e,
                        span_membership, GradedBasis, RankCertificate)
 from .chromatic import (RationalPoly, chromatic_poly_simple,
-                        k_chromatic_direct, k_chromatic_join,
-                        k_chromatic_bond, bond_lattice, BondPartition,
-                        binomial_poly, choose_q)
+                        linear_coefficient, k_chromatic_direct,
+                        k_chromatic_join, k_chromatic_bond, bond_lattice,
+                        BondPartition, binomial_poly, choose_q)
 from .multiplicity import (mult_free_root, free_roots_up_to,
                            MultiplicityTable, MultRecord, verify_pbw,
                            verify_cartier_foata, moebius,
                            linear_coefficient_magnitude)
 
+from . import supergraph, heaps, superlie, chromatic, multiplicity
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache and the heap registry.
+
+    The caches and the registry grow for the life of the process; a
+    long-lived caller can release them here.  Values computed afterwards
+    equal the earlier ones.  Nothing in the library calls this.
+    """
+    for module in (supergraph, heaps, superlie, chromatic, multiplicity):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    heaps._REGISTRY.clear()

@@ -228,16 +228,24 @@ def chromatic_poly_simple(graph: Supergraph) -> RationalPoly:
 
 
 @functools.lru_cache(maxsize=None)
+def _nonempty_independent_sets(graph: Supergraph,
+                               sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The nonempty independent subsets of a support, listed once per support."""
+    return tuple(independent_sets(graph, sup)[1:])
+
+
+@functools.lru_cache(maxsize=None)
 def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
     """Number of ordered tuples of nonempty independent sets realizing k,
-    indexed by tuple length; memoized on the remaining weight."""
+    indexed by tuple length; memoized on the remaining weight.
+
+    These are the coefficients of the k-chromatic polynomial in the
+    binomial basis C(q, m): each colour class is one set of the tuple.
+    """
     if not any(k):
         return (1,)
-    sup = support(k)
     acc = [0] * (ht(k) + 1)
-    for sub in independent_sets(graph, sup):
-        if not sub:
-            continue
+    for sub in _nonempty_independent_sets(graph, support(k)):
         rest = list(k)
         for v in sub:
             rest[v] -= 1
@@ -255,6 +263,26 @@ def _direct_plain(graph: Supergraph, k: tuple[int, ...]) -> RationalPoly:
         if cnt:
             out = out + choose_q(m) * cnt
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_plain(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
+    """Coefficient of q from the tuple counts, for a checked weight.
+
+    The coefficient of q in C(q, m) is (-1)^(m-1) / m, so the sum runs
+    over integers scaled by lcm(1..m_max) and makes a single Fraction.
+    """
+    counts = _tuple_counts(graph, k)
+    scale = math.lcm(*range(1, len(counts)))
+    numerator = sum((scale // m) * (c if m % 2 else -c)
+                    for m, c in enumerate(counts) if m)
+    return Fraction(numerator, scale)
+
+
+def linear_coefficient(graph: Supergraph, k) -> Fraction:
+    """Coefficient of q in the k-chromatic polynomial, read off the
+    integer tuple counts without building the polynomial."""
+    return _linear_plain(plain(graph), check_weight(graph, k))
 
 
 def k_chromatic_direct(graph: Supergraph, k) -> RationalPoly:

@@ -107,10 +107,10 @@ def _cmd_heaps_enumerate(argv):
         chosen = list(hp.lyndon_heaps(graph, k))
     elif args.cls == "super-lyndon":
         chosen = list(hp.super_lyndon_heaps(graph, k))
+    elif args.cls == "super-letter":
+        chosen = [h for h in all_heaps if hp.is_super_letter(h)]
     else:
-        flag = {"pyramid": "pyramid", "super-letter": "super_letter"}[args.cls]
-        chosen = [h for h in all_heaps if h.pieces
-                  and getattr(hp.classify(h), flag)]
+        chosen = [h for h in all_heaps if h.pieces and hp.classify(h).pyramid]
     result = {"weight": list(k), "class": args.cls, "count": len(chosen),
               "heaps": [{"word": h.word(), **h.to_json()} for h in chosen]}
     lines = [f"{len(chosen)} heaps of weight {','.join(map(str, k))} [{args.cls}]"]

@@ -423,6 +423,16 @@ class HeapClasses:
         return f"HeapClasses({', '.join(on)})"
 
 
+def is_super_letter(heap: Heap) -> bool:
+    """A single minimal piece, on vertex 0, which the heap uses once.
+
+    The same as ``classify(heap).super_letter`` (false for the empty heap),
+    without the primitivity and Lyndon tests.
+    """
+    minimals = [p for p, lvl in heap.pieces if lvl == 0]
+    return minimals == [0] and sum(1 for p, _ in heap.pieces if p == 0) == 1
+
+
 def classify(heap: Heap) -> HeapClasses:
     """Flags per the definitions; admissibility is against the global order."""
     if not heap.pieces:
@@ -477,8 +487,12 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
     returned over the original graph).  The standard word of a product of
     super-letters is the concatenation of theirs, each starting with the
     base letter and using it once; so the word is cut before each base
-    letter.  Each piece must be the word of a super-letter, else the heap
-    is not a product of super-letters and an InputError is raised.
+    letter.  A heap with no base piece, or whose word does not start with
+    the base letter, is not such a product and raises InputError.  No
+    piece needs a further check: when the word starts with the base
+    letter, the base is the only minimal piece of each remaining heap, and
+    a prefix of a standard word is a down-set, so each piece is a pyramid
+    on the base that uses it once.
     """
     graph = heap.graph
     b = 0 if base is None else graph.index(base)
@@ -494,11 +508,10 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
     cuts = [i for i, p in enumerate(word) if p == 0]
     if not cuts:
         raise InputError("no piece on the base vertex")
-    factors = tuple(heap_from_word(graph, word[i:j])
-                    for i, j in zip(cuts, cuts[1:] + [len(word)]))
-    if cuts[0] or not all(classify(f).super_letter for f in factors):
+    if cuts[0]:
         raise InputError(f"{heap!r} is not a product of super-letters")
-    return factors
+    return tuple(heap_from_word(graph, word[i:j])
+                 for i, j in zip(cuts, cuts[1:] + [len(word)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Free-root multiplicities and the series identities that certify them.
 
 The dimension of a free root space is recovered from the linear
-coefficients of k-chromatic polynomials.  Two methods are implemented:
+coefficients of k-chromatic polynomials.  Each coefficient is read off the
+integer counts of ordered tuples of independent sets (the polynomial's
+coefficients in the binomial basis C(q, m)), so no polynomial is built.
+Two methods are implemented:
 
 * ``closed_form`` is the Moebius sum with a single global sign pattern
   chosen by the parity of the top weight (even weights get mu(l)/l, odd
@@ -25,11 +28,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, ConsistencyError
-from .supergraph import Supergraph, check_weight, support, weight_parity, \
-    weight_gcd, divide_weight, is_free_weight, is_connected_support, \
+from .supergraph import Supergraph, plain, check_weight, support, \
+    weight_parity, weight_gcd, divide_weight, _is_free, _is_connected, \
     independent_sets, weights_up_to
 from .heaps import enumerate_heaps, super_lyndon_heaps
-from .chromatic import k_chromatic_direct
+from .chromatic import linear_coefficient, _linear_plain
 
 
 def moebius(n: int) -> int:
@@ -55,7 +58,12 @@ def divisors(n: int) -> list[int]:
 
 def linear_coefficient_magnitude(graph: Supergraph, k) -> Fraction:
     """|coefficient of q| in the k-chromatic polynomial."""
-    return abs(k_chromatic_direct(graph, k).coefficient(1))
+    return abs(linear_coefficient(graph, k))
+
+
+def _magnitude(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
+    """linear_coefficient_magnitude for a weight already checked."""
+    return abs(_linear_plain(plain(graph), k))
 
 
 def _sub_sign(graph: Supergraph, l: int, sub: tuple[int, ...]) -> int:
@@ -67,7 +75,7 @@ def _sub_sign(graph: Supergraph, l: int, sub: tuple[int, ...]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _mult_recursion(graph: Supergraph, k: tuple[int, ...]) -> int:
-    total = Fraction(linear_coefficient_magnitude(graph, k))
+    total = _magnitude(graph, k)
     g = weight_gcd(k)
     for l in divisors(g):
         if l == 1:
@@ -87,7 +95,7 @@ def _mult_closed_form(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
         mu = moebius(l)
         if not mu:
             continue
-        coeff = linear_coefficient_magnitude(graph, divide_weight(k, l))
+        coeff = _magnitude(graph, divide_weight(k, l))
         term = Fraction(mu, l) * coeff
         if odd and (l + 1) % 2:
             term = -term
@@ -104,11 +112,11 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
     Non-free weights are rejected; disconnected supports give 0.
     """
     k = check_weight(graph, k)
-    if not is_free_weight(graph, k):
+    if not _is_free(graph, k):
         raise InputError(f"weight {k} is not free")
     if not any(k):
         raise InputError("zero weight has no root")
-    connected = is_connected_support(graph, k)
+    connected = _is_connected(graph, k)
     if method == "recursion":
         return _mult_recursion(graph, k) if connected else 0
     if method == "closed_form":
@@ -123,7 +131,7 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
             recursion=rec,
             closed_form=int(closed) if closed.denominator == 1 else closed,
             agree=(closed == rec),
-            linear_coefficient=linear_coefficient_magnitude(graph, k),
+            linear_coefficient=_magnitude(graph, k),
         )
     raise InputError(f"unknown method {method!r}")
 
@@ -171,11 +179,8 @@ def free_roots_up_to(graph: Supergraph, cap) -> MultiplicityTable:
     cap = check_weight(graph, cap)
     table = MultiplicityTable(graph, cap)
     for w in weights_up_to(cap):
-        if not any(w):
-            continue
-        if not is_free_weight(graph, w) or not is_connected_support(graph, w):
-            continue
-        table.entries[w] = mult_free_root(graph, w, method="both")
+        if any(w) and _is_free(graph, w) and _is_connected(graph, w):
+            table.entries[w] = mult_free_root(graph, w, method="both")
     return table
 
 

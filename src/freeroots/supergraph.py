@@ -206,13 +206,19 @@ def weights_up_to(cap) -> "itertools.product":
 
 def is_free_weight(graph: Supergraph, k) -> bool:
     """True if every real or zero-norm-odd vertex is used at most once."""
-    k = check_weight(graph, k)
+    return _is_free(graph, check_weight(graph, k))
+
+
+def _is_free(graph: Supergraph, k: tuple[int, ...]) -> bool:
     return all(k[i] <= 1 for i in graph.real | graph.psi0)
 
 
 def is_connected_support(graph: Supergraph, k) -> bool:
     """True if the support of ``k`` induces a connected nonempty subgraph."""
-    k = check_weight(graph, k)
+    return _is_connected(graph, check_weight(graph, k))
+
+
+def _is_connected(graph: Supergraph, k: tuple[int, ...]) -> bool:
     mask = support_mask(k)
     if mask == 0:
         return False

@@ -22,9 +22,9 @@ from fractions import Fraction
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, heap_from_word, superpose, single, standard_word,
-                    sort_key, enumerate_heaps, super_lyndon_heaps, classify,
-                    super_letter_factors, heaps_up_to, is_super_lyndon_word,
-                    word_standard_factorization)
+                    sort_key, enumerate_heaps, super_lyndon_heaps,
+                    is_super_letter, super_letter_factors, heaps_up_to,
+                    is_super_lyndon_word, word_standard_factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
         if w[0] != 1:
             continue  # a super-letter uses its base exactly once
         for h in hs:
-            if h.pieces and classify(h).super_letter:
+            if is_super_letter(h):
                 letters.append(h)
     return tuple(sorted(letters, key=sort_key))
 
@@ -515,7 +515,7 @@ def lambda_equals_e(heap: Heap) -> bool:
         raise InputError(f"{heap!r} is not a super-letter")
     work, _ = _base_first_order(heap.graph, base)
     h = heap_from_word(work, (heap.graph.names[p] for p in standard_word(heap)))
-    if not classify(h).super_letter:
+    if not is_super_letter(h):
         raise InputError(f"{heap!r} is not a super-letter")
     w = standard_word(h)
     r = len(w)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -8,9 +9,24 @@ from freeroots import InputError, Supergraph
 from freeroots.chromatic import (RationalPoly, binomial_poly, choose_q,
                                  chromatic_poly_simple, k_chromatic_direct,
                                  k_chromatic_join, k_chromatic_bond,
-                                 bond_lattice, BondPartition)
+                                 bond_lattice, BondPartition,
+                                 linear_coefficient, _nonempty_independent_sets)
 from freeroots.multiplicity import mult_free_root
-from freeroots.supergraph import ht, is_connected_support, support
+from freeroots.supergraph import (ht, is_connected_support, support,
+                                  independent_sets, load_graph, plain)
+
+SAMPLE_GRAPHS = os.path.join(os.path.dirname(__file__), "..", "sample_graphs")
+
+
+def graphs_up_to_4_and_samples():
+    """Every graph on at most 4 vertices, then the two sample graph files."""
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                yield Supergraph("abcd"[:n], edges)
+    for name in ("path6.json", "tree6.json"):
+        yield load_graph(os.path.join(SAMPLE_GRAPHS, name))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +177,33 @@ def test_degree_and_sign(tree6):
 def test_linear_coefficient_vanishes_iff_disconnected(p4):
     assert k_chromatic_direct(p4, (1, 0, 1, 0)).coefficient(1) == 0
     assert k_chromatic_direct(p4, (1, 1, 0, 0)).coefficient(1) != 0
+
+
+def test_linear_coefficient_matches_direct_polynomial():
+    """The coefficient read off the tuple counts is the polynomial's."""
+    for graph in graphs_up_to_4_and_samples():
+        for k in itertools.product(range(4), repeat=graph.n):
+            if sum(k) > 7:
+                continue
+            got = linear_coefficient(graph, k)
+            assert type(got) is Fraction
+            assert got == k_chromatic_direct(graph, k).coefficient(1), (graph, k)
+
+
+def test_independent_sets_cached_per_support():
+    for graph in graphs_up_to_4_and_samples():
+        twin = plain(graph)
+        for r in range(graph.n + 1):
+            for sup in itertools.combinations(range(graph.n), r):
+                expected = independent_sets(twin, sup)[1:]
+                assert _nonempty_independent_sets(twin, sup) == tuple(expected)
+
+
+def test_linear_coefficient_checks_its_weight(p4):
+    with pytest.raises(InputError):
+        linear_coefficient(p4, (1, 1))
+    with pytest.raises(InputError):
+        linear_coefficient(p4, (1, -1, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              super_lyndon_heaps,
                              enumerate_super_lyndon_heaps,
                              standard_factorization, super_letter_factors,
-                             word_class, lyndon_words_of_content)
+                             is_super_letter, word_class,
+                             lyndon_words_of_content)
 from freeroots.superlie import super_letter_alphabet
 
 THREE_VERTEX_EDGE_SETS = [(), ((0, 1),), ((0, 2),), ((1, 2),),
@@ -513,6 +514,17 @@ def test_super_letter_factors_rejects_non_products(p4):
         super_letter_factors(heap_from_word(p4, "21"), base="1")
     with pytest.raises(InputError):
         super_letter_factors(heap_from_word(p4, "234"), base="1")
+
+
+def test_super_letter_flag_matches_classify():
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            for k in itertools.product(range(3), repeat=n):
+                if sum(k) > 6:
+                    continue
+                for h in enumerate_heaps(graph, k):
+                    expected = bool(h.pieces) and classify(h).super_letter
+                    assert is_super_letter(h) == expected, h
 
 
 # ---------------------------------------------------------------------------

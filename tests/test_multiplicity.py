@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph
-from freeroots.heaps import enumerate_super_lyndon_heaps
+from freeroots.heaps import enumerate_super_lyndon_heaps, super_lyndon_heaps
 from freeroots.multiplicity import (moebius, divisors, mult_free_root,
                                     free_roots_up_to, verify_pbw,
                                     verify_cartier_foata,
@@ -206,3 +207,45 @@ def test_zero_one_weights_carry_roots_iff_connected():
         if not any(k):
             continue
         assert (mult_free_root(g, k) > 0) == is_connected_support(g, k), k
+
+
+# ---------------------------------------------------------------------------
+# Differential test on random supergraphs.
+
+@st.composite
+def supergraphs_with_free_connected_weights(draw, max_n=5, max_ht=5):
+    """A supergraph on at most ``max_n`` vertices with random psi, psi0 and
+    real vertices, and a free weight with connected support of height at
+    most ``max_ht``, grown one letter at a time next to the support."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    psi = draw(st.sets(st.integers(0, n - 1)))
+    psi0 = draw(st.sets(st.sampled_from(sorted(psi)))) if psi else set()
+    even = [v for v in range(n) if v not in psi0]
+    real = draw(st.sets(st.sampled_from(even))) if even else set()
+    graph = Supergraph("abcde"[:n], edges, psi=psi, real=real, psi0=psi0)
+    bounded = graph.real | graph.psi0
+    k = [0] * n
+    k[draw(st.integers(0, n - 1))] = 1
+    height = draw(st.sampled_from(range(max_ht, 0, -1)))  # tallest first
+    for step in draw(st.lists(st.integers(0, max_n - 1), min_size=height - 1,
+                              max_size=height - 1)):
+        options = [v for v in range(n)
+                   if (k[v] or any(k[u] for u in range(n) if graph.has_edge(u, v)))
+                   and not (v in bounded and k[v])]
+        if not options:
+            break
+        k[options[step % len(options)]] += 1
+    return graph, tuple(k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(supergraphs_with_free_connected_weights())
+def test_recursion_matches_super_lyndon_count_on_random_supergraphs(case):
+    graph, k = case
+    assert is_connected_support(graph, k)
+    assert mult_free_root(graph, k, method="recursion") == len(super_lyndon_heaps(graph, k))
+    record = mult_free_root(graph, k, method="both")
+    assert record.agree == (record.closed_form == record.recursion)
+
