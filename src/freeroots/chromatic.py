@@ -1,11 +1,13 @@
 """Exact k-chromatic polynomials and the weighted bond lattice.
 
 The multicoloring count where vertex i receives k_i colours and neighbours
-get disjoint sets is a polynomial in the number of colours q.  It is
-computed three ways: directly from ordered tuples of independent sets, by
-colouring the clique-join graph, and from the bond-lattice expansion whose
-coefficients are root multiplicities.  The three routes must agree
-coefficientwise and the tests enforce that.
+get disjoint sets is an integer-valued polynomial in the number of colours
+q.  Each route computes its integer coefficients c_m in the binomial basis
+C(q, m): directly, as counts of ordered m-tuples of independent sets; by the
+clique-join graph, as m! times its partitions into m independent blocks; by
+the bond-lattice expansion, whose coefficients are root multiplicities, as
+forward differences of its values at q = 0..ht(k).  Only ``_from_binomial``
+builds a polynomial.  The routes must agree and the tests enforce that.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, ht, \
-    weight_parity, independent_sets, join_graph
+    weight_parity, independent_sets, join_graph, is_connected_support, \
+    is_free_weight, weights_up_to
 
 
 class RationalPoly:
@@ -166,14 +169,22 @@ def binomial_poly(arg: RationalPoly, d: int) -> RationalPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _scaled_binomial(scale: int, d: int) -> RationalPoly:
-    """C(scale * q, d), cached; the workhorse of the bond-lattice expansion."""
-    return binomial_poly(RationalPoly((0, scale)), d)
-
-
-@functools.lru_cache(maxsize=None)
 def choose_q(d: int) -> RationalPoly:
     return binomial_poly(RationalPoly.q(), d)
+
+
+def _from_binomial(counts) -> RationalPoly:
+    """sum_m counts[m] * C(q, m), the one place a route builds a polynomial."""
+    out = RationalPoly.zero()
+    for m, cnt in enumerate(counts):
+        if cnt:
+            out = out + choose_q(m) * cnt
+    return out
+
+
+def _choose(n: int, d: int) -> int:
+    """C(n, d) for any integer n, using C(-x, d) = (-1)^d C(x+d-1, d)."""
+    return math.comb(n, d) if n >= 0 else (-1) ** d * math.comb(d - n - 1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +194,11 @@ def choose_q(d: int) -> RationalPoly:
 def chromatic_poly_simple(graph: Supergraph) -> RationalPoly:
     """Classical chromatic polynomial via partitions into independent sets.
 
-    pi(q) = sum_m p_m * q(q-1)...(q-m+1) where p_m counts partitions of the
-    vertex set into m nonempty independent blocks; blocks are generated with
-    the least remaining vertex pinned to avoid double counting.
+    pi(q) = sum_m p_m q(q-1)...(q-m+1) = sum_m m! p_m C(q, m), where p_m
+    counts partitions of the vertex set into m nonempty independent blocks;
+    pinning the least remaining vertex in each block avoids double counting.
     """
     n = graph.n
-    if n == 0:
-        return RationalPoly.one()
     adj = graph.adj
     full = (1 << n) - 1
 
@@ -216,15 +225,8 @@ def chromatic_poly_simple(graph: Supergraph) -> RationalPoly:
         grow(1 << low, adj[low], members)
         return tuple(acc)
 
-    out = RationalPoly.zero()
-    falling = RationalPoly.one()
-    counts = parts(full)
-    for m, cnt in enumerate(counts):
-        if m > 0:
-            falling = falling * RationalPoly((-(m - 1), 1))
-            if cnt:
-                out = out + falling * cnt
-    return out
+    return _from_binomial([cnt * math.factorial(m)
+                           for m, cnt in enumerate(parts(full))])
 
 
 @functools.lru_cache(maxsize=None)
@@ -257,15 +259,6 @@ def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _direct_plain(graph: Supergraph, k: tuple[int, ...]) -> RationalPoly:
-    out = RationalPoly.zero()
-    for m, cnt in enumerate(_tuple_counts(graph, k)):
-        if cnt:
-            out = out + choose_q(m) * cnt
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def _linear_plain(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
     """Coefficient of q from the tuple counts, for a checked weight.
 
@@ -287,10 +280,7 @@ def linear_coefficient(graph: Supergraph, k) -> Fraction:
 
 def k_chromatic_direct(graph: Supergraph, k) -> RationalPoly:
     """Multicolouring polynomial from ordered tuples of independent sets."""
-    k = check_weight(graph, k)
-    if not any(k):
-        return RationalPoly.one()
-    return _direct_plain(plain(graph), k)
+    return _from_binomial(_tuple_counts(plain(graph), check_weight(graph, k)))
 
 
 def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
@@ -298,10 +288,8 @@ def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
     k = check_weight(graph, k)
     if not any(k):
         return RationalPoly.one()
-    factorial = 1
-    for x in k:
-        factorial *= math.factorial(x)
-    return chromatic_poly_simple(join_graph(graph, k)) / factorial
+    return (chromatic_poly_simple(join_graph(graph, k))
+            / math.prod(map(math.factorial, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +310,9 @@ class BondPartition:
             out[b] = out.get(b, 0) + 1
         return out
 
-    def to_json(self, graph: Supergraph):
-        return [[[graph.names[i], b[i]] for i in support(b)] for b in self.blocks]
-
 
 @functools.lru_cache(maxsize=None)
 def _connected_subweights(graph: Supergraph, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    from .supergraph import is_connected_support, weights_up_to
     out = [w for w in weights_up_to(k) if any(w) and is_connected_support(graph, w)]
     return tuple(sorted(out, reverse=True))
 
@@ -365,24 +349,32 @@ def k_chromatic_bond(graph: Supergraph, k, mult) -> RationalPoly:
     ``mult`` maps a block weight to the multiplicity of the corresponding
     free root.  Blocks of even weight contribute C(q*mult, D) and blocks of
     odd weight C(-q*mult, D), with a sign from the number of blocks and of
-    odd blocks.  Only free weights are accepted.
+    odd blocks.  Only free weights are accepted.  Block parities add up to
+    k's, so the odd blocks number k's parity mod 2.  The values at
+    q = 0..ht(k) are summed in integers; their forward differences are c.
     """
-    from .supergraph import is_free_weight
     k = check_weight(graph, k)
     if not any(k):
         return RationalPoly.one()
     if not is_free_weight(graph, k):
         raise InputError(f"weight {k} is not free")
-    total = RationalPoly.zero()
+    points = range(ht(k) + 1)
+    flip = ht(k) + weight_parity(graph, k)
+    scales = {}  # block -> mult(block), negated for an odd block
+    columns = {}  # (scale, d) -> C(scale * q, d) at every point
+    values = [0] * len(points)
     for partition in bond_lattice(graph, k):
-        nblocks = len(partition)
-        nodd = sum(1 for b in partition.blocks if weight_parity(graph, b) == 1)
-        term = RationalPoly.one()
-        for block, d in sorted(partition.multiplicities().items()):
-            m = mult(block)
-            scale = m if weight_parity(graph, block) == 0 else -m
-            term = term * _scaled_binomial(scale, d)
-        sign = -1 if (nblocks + nodd) % 2 else 1
-        total = total + term * sign
-    sign = -1 if ht(k) % 2 else 1
-    return total * sign
+        term = [(-1) ** (len(partition) + flip)] * len(points)
+        for block, d in partition.multiplicities().items():
+            if block not in scales:
+                scales[block] = (-1) ** weight_parity(graph, block) * mult(block)
+            key = (scales[block], d)
+            if key not in columns:
+                columns[key] = [_choose(key[0] * q, d) for q in points]
+            term = [t * c for t, c in zip(term, columns[key])]
+        values = [v + t for v, t in zip(values, term)]
+    counts = []
+    while values:
+        counts.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return _from_binomial(counts)

@@ -110,7 +110,7 @@ def _cmd_heaps_enumerate(argv):
     elif args.cls == "super-letter":
         chosen = [h for h in all_heaps if hp.is_super_letter(h)]
     else:
-        chosen = [h for h in all_heaps if h.pieces and hp.classify(h).pyramid]
+        chosen = [h for h in all_heaps if hp.is_pyramid(h)]
     result = {"weight": list(k), "class": args.cls, "count": len(chosen),
               "heaps": [{"word": h.word(), **h.to_json()} for h in chosen]}
     lines = [f"{len(chosen)} heaps of weight {','.join(map(str, k))} [{args.cls}]"]

@@ -433,6 +433,11 @@ def is_super_letter(heap: Heap) -> bool:
     return minimals == [0] and sum(1 for p, _ in heap.pieces if p == 0) == 1
 
 
+def is_pyramid(heap: Heap) -> bool:
+    """A single minimal piece: ``classify(heap).pyramid`` without the rest."""
+    return sum(1 for _, lvl in heap.pieces if lvl == 0) == 1
+
+
 def classify(heap: Heap) -> HeapClasses:
     """Flags per the definitions; admissibility is against the global order."""
     if not heap.pieces:

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -485,9 +486,8 @@ def load_graph(path) -> tuple[Supergraph, BkmSupermatrix | None]:
 
 
 def parse_weight(graph: Supergraph, text: str) -> tuple[int, ...]:
-    """Comma-separated non-negative integers in vertex order; length must match."""
-    try:
-        k = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InputError(f"bad weight {text!r}") from None
-    return check_weight(graph, k)
+    """Comma-separated ASCII integers in vertex order; length must match."""
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+        raise InputError(f"bad weight {text!r}")
+    return check_weight(graph, tuple(map(int, parts)))

@@ -10,10 +10,12 @@ from freeroots.chromatic import (RationalPoly, binomial_poly, choose_q,
                                  chromatic_poly_simple, k_chromatic_direct,
                                  k_chromatic_join, k_chromatic_bond,
                                  bond_lattice, BondPartition,
-                                 linear_coefficient, _nonempty_independent_sets)
+                                 linear_coefficient, _nonempty_independent_sets,
+                                 _choose)
 from freeroots.multiplicity import mult_free_root
-from freeroots.supergraph import (ht, is_connected_support, support,
-                                  independent_sets, load_graph, plain)
+from freeroots.supergraph import (ht, is_connected_support, is_free_weight,
+                                  support, independent_sets, load_graph, plain,
+                                  weight_parity)
 
 SAMPLE_GRAPHS = os.path.join(os.path.dirname(__file__), "..", "sample_graphs")
 
@@ -301,3 +303,65 @@ def test_bond_route_rejects_non_free():
     g = Supergraph(["v"], real=["v"])
     with pytest.raises(InputError):
         k_chromatic_bond(g, (2,), lambda w: 1)
+
+
+def fraction_bond(graph, k, mult):
+    """The bond-lattice expansion as a sum of ``Fraction`` polynomial
+    products: the route ``k_chromatic_bond`` replaced, kept as its oracle."""
+    if not any(k):
+        return RationalPoly.one()
+    total = RationalPoly.zero()
+    for partition in bond_lattice(graph, k):
+        nblocks = len(partition)
+        nodd = sum(1 for b in partition.blocks if weight_parity(graph, b) == 1)
+        term = RationalPoly.one()
+        for block, d in sorted(partition.multiplicities().items()):
+            m = mult(block)
+            scale = m if weight_parity(graph, block) == 0 else -m
+            term = term * binomial_poly(RationalPoly((0, scale)), d)
+        sign = -1 if (nblocks + nodd) % 2 else 1
+        total = total + term * sign
+    sign = -1 if ht(k) % 2 else 1
+    return total * sign
+
+
+def supergraphs_up_to_3():
+    """Every graph on at most 3 vertices, with every set of odd vertices."""
+    for n in range(1, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                for s in range(n + 1):
+                    for psi in itertools.combinations(range(n), s):
+                        yield Supergraph("abc"[:n], edges, psi=psi)
+
+
+BOND_SAMPLE_WEIGHTS = {
+    "path6.json": ((1, 1, 1, 1, 1, 1), (0, 2, 3, 0, 0, 1), (0, 1, 2, 0, 1, 0)),
+    "tree6.json": ((0, 0, 3, 0, 0, 3), (0, 2, 3, 0, 0, 1), (1, 2, 1, 0, 0, 1)),
+}
+
+
+def bond_cases():
+    for graph in supergraphs_up_to_3():
+        for k in itertools.product(range(3), repeat=graph.n):
+            if is_free_weight(graph, k):
+                yield graph, k
+    for name, weights in BOND_SAMPLE_WEIGHTS.items():
+        graph = load_graph(os.path.join(SAMPLE_GRAPHS, name))[0]
+        for k in weights:
+            yield graph, k
+
+
+def test_bond_route_matches_fraction_products():
+    """The integer evaluation equals the Fraction-product expansion."""
+    for graph, k in bond_cases():
+        def mult(w):
+            return mult_free_root(graph, w)
+        assert k_chromatic_bond(graph, k, mult) == fraction_bond(graph, k, mult), (graph, k)
+
+
+def test_integer_choose_matches_binomial_poly():
+    for n in range(-6, 7):
+        for d in range(6):
+            assert RationalPoly((_choose(n, d),)) == binomial_poly(RationalPoly((n,)), d), (n, d)

@@ -108,6 +108,28 @@ def test_mult_rejects_wrong_length(tree6_file, capsys):
     assert main(["mult", "--graph", tree6_file, "--weight", "1,2,3"]) == 1
 
 
+@pytest.mark.parametrize("weight, message", [
+    ("0,0,1_0,0,0,1", "bad weight '0,0,1_0,0,0,1'"),
+    ("0,0,٣,0,0,1", "bad weight '0,0,٣,0,0,1'"),      # Arabic-Indic 3
+    ("0,0,３,0,0,1", "bad weight '0,0,３,0,0,1'"),      # fullwidth 3
+    ("0,0,3.0,0,0,1", "bad weight '0,0,3.0,0,0,1'"),
+    ("0,0,,0,0,1", "bad weight '0,0,,0,0,1'"),
+    ("0,0,+-3,0,0,1", "bad weight '0,0,+-3,0,0,1'"),
+    ("0,0,-1,0,0,1", "negative weight entry in (0, 0, -1, 0, 0, 1)"),
+])
+def test_weight_rejects_non_ascii_integers(weight, message, tree6_file, capsys):
+    assert main(["mult", "--graph", tree6_file, "--weight", weight]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("weight", [" 0, 0,3 ,0,0,3", "0,0,+3,0,0,3\t", "0,0,03,0,0,3"])
+def test_weight_allows_sign_and_spaces(weight, tree6_file, capsys):
+    assert main(["mult", "--graph", tree6_file, "--weight", "0,0,3,0,0,3"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["mult", "--graph", tree6_file, "--weight", weight]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_mult_table(plain_tree_file, capsys):
     code, doc = run_json(capsys, ["mult", "table", "--graph", plain_tree_file,
                                   "--cap", "1,1,1,1,1,1"])

@@ -14,7 +14,7 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              super_lyndon_heaps,
                              enumerate_super_lyndon_heaps,
                              standard_factorization, super_letter_factors,
-                             is_super_letter, word_class,
+                             is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
 from freeroots.superlie import super_letter_alphabet
 
@@ -523,8 +523,9 @@ def test_super_letter_flag_matches_classify():
                 if sum(k) > 6:
                     continue
                 for h in enumerate_heaps(graph, k):
-                    expected = bool(h.pieces) and classify(h).super_letter
-                    assert is_super_letter(h) == expected, h
+                    flags = classify(h) if h.pieces else None
+                    assert is_super_letter(h) == bool(flags and flags.super_letter), h
+                    assert is_pyramid(h) == bool(flags and flags.pyramid), h
 
 
 # ---------------------------------------------------------------------------
