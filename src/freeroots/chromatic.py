@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -333,7 +334,7 @@ def bond_lattice(graph: Supergraph, k) -> list[BondPartition]:
             return
         for idx in range(start, len(blocks)):
             b = blocks[idx]
-            if all(b[i] <= remaining[i] for i in range(len(b))):
+            if all(map(operator.le, b, remaining)):
                 chosen.append(b)
                 rec(tuple(r - x for r, x in zip(remaining, b)), idx, chosen)
                 chosen.pop()

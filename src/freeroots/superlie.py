@@ -2,8 +2,11 @@
 
 Heaps index a basis of the enveloping algebra, so Lie elements are exact
 integer combinations of heaps and every identity here is checked by
-expanding.  The super bracket is ``[x, y] = x o y - (-1)^{p(x) p(y)} y o x``
-extended bilinearly over parity-homogeneous operands.
+expanding.  The product of basis elements is the signed superposition
+``u_E u_F = +-u_{EoF}``, the sign counting the odd letters that odd letters
+pass in rewriting st(E) st(F) into st(EoF).  The super bracket
+``[x, y] = x o y - (-1)^{p(x) p(y)} y o x`` of parity-homogeneous operands
+sums both products of each pair of terms into one polynomial.
 
 Two bases are constructed for each graded piece: one by bracketing the
 standard factorization of each super Lyndon heap, and one from super Lyndon
@@ -110,14 +113,9 @@ class HeapPolynomial:
     __slots__ = ("graph", "terms")
 
     def __init__(self, graph: Supergraph, terms=None):
+        """``terms`` maps heaps to coefficients; zero coefficients are dropped."""
         self.graph = graph
-        self.terms = {}
-        if terms:
-            for heap, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if coeff:
-                    self.terms[heap] = self.terms.get(heap, 0) + coeff
-                    if not self.terms[heap]:
-                        del self.terms[heap]
+        self.terms = {h: c for h, c in terms.items() if c} if terms else {}
 
     @classmethod
     def generator(cls, graph: Supergraph, v) -> "HeapPolynomial":
@@ -138,28 +136,15 @@ class HeapPolynomial:
         out = dict(self.terms)
         for heap, c in other.terms.items():
             out[heap] = out.get(heap, 0) + c
-            if not out[heap]:
-                del out[heap]
         return HeapPolynomial(self.graph, out)
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, scalar: int):
-        if not scalar:
-            return HeapPolynomial(self.graph)
         return HeapPolynomial(self.graph, {h: c * scalar for h, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def concat(self, other: "HeapPolynomial") -> "HeapPolynomial":
-        """Bilinear product in the enveloping algebra: u_E u_F = +-u_{EoF}."""
-        out = {}
-        for e, a in self.terms.items():
-            for f, b in other.terms.items():
-                h, sign = signed_superpose(e, f)
-                out[h] = out.get(h, 0) + a * b * sign
-        return HeapPolynomial(self.graph, out)
 
     def parity(self) -> int | None:
         """Common parity of the supporting heaps; None for 0, error if mixed."""
@@ -195,34 +180,20 @@ class HeapPolynomial:
 def rewriting_sign(graph: Supergraph, word, target) -> int:
     """Sign picked up rewriting one linearization of a heap into another.
 
-    Interchanging two odd letters costs -1; occurrences of equal letters
-    never reorder, so matching the i-th occurrence of each letter is
-    well defined and the sign is (-1)^(number of odd-odd pairs whose
-    relative order differs).
+    Interchanging two odd letters costs -1 and equal letters never reorder,
+    so take each odd letter of ``target`` in turn from its first remaining
+    occurrence among the odd letters of ``word``: the sign is -1 to the
+    number of odd letters it passes.
     """
     psi = graph.psi
-    odd_positions = [i for i, v in enumerate(word) if v in psi]
-    if len(odd_positions) < 2:
-        return 1
-    seen: dict[int, int] = {}
-    where: dict[tuple[int, int], int] = {}
-    for pos, v in enumerate(target):
-        n = seen.get(v, 0)
-        where[(v, n)] = pos
-        seen[v] = n + 1
-    seen.clear()
-    mapped = []
-    for i in odd_positions:
-        v = word[i]
-        n = seen.get(v, 0)
-        mapped.append(where[(v, n)])
-        seen[v] = n + 1
-    inversions = 0
-    for a in range(len(mapped)):
-        for b in range(a + 1, len(mapped)):
-            if mapped[a] > mapped[b]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
+    rest = [v for v in word if v in psi]
+    passed = 0
+    for v in target:
+        if v in psi:
+            i = rest.index(v)
+            passed += i
+            del rest[i]
+    return -1 if passed & 1 else 1
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -247,7 +218,14 @@ def bracket_expand(p: HeapPolynomial, q: HeapPolynomial) -> HeapPolynomial:
     if not p or not q:
         return HeapPolynomial(p.graph)
     sign = 1 if (pp and pq) else -1
-    return p.concat(q) + q.concat(p) * sign
+    out = {}
+    for e, a in p.terms.items():
+        for f, b in q.terms.items():
+            h, s = signed_superpose(e, f)
+            out[h] = out.get(h, 0) + a * b * s
+            h, s = signed_superpose(f, e)
+            out[h] = out.get(h, 0) + sign * a * b * s
+    return HeapPolynomial(p.graph, out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,10 +266,11 @@ def integer_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
     return r, pivots
 
 
-def solve_exact(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
+def solve_exact(columns: list[list], target: list) -> list[Fraction]:
     """Coefficients c with sum c_j * columns[j] = target, or raise.
 
-    Gaussian elimination over exact rationals; raises ConsistencyError if
+    Gaussian elimination over exact rationals (integer entries are fine;
+    the coefficients are fractions); raises ConsistencyError if
     the system is unsolvable and InputError if the solution is not unique.
     """
     ncols = len(columns)
@@ -338,18 +317,23 @@ class RankCertificate:
                 "pivot_columns": list(self.pivot_columns), "method": self.method}
 
 
-def _expansion_matrix(graph: Supergraph, k, expansions) -> RankCertificate:
-    """Full-row-rank certificate of expansions against the weight-k heap basis."""
-    heaps = enumerate_heaps(graph, tuple(k))
-    col = {h: i for i, h in enumerate(heaps)}
+def _dense_rows(graph: Supergraph, k, polys) -> tuple[int, list[list[int]]]:
+    """Number of weight-k heaps, and the coefficient row of each polynomial."""
+    col = {h: i for i, h in enumerate(enumerate_heaps(graph, tuple(k)))}
     rows = []
-    for poly in expansions:
-        row = [0] * len(heaps)
+    for poly in polys:
+        row = [0] * len(col)
         for h, c in poly.terms.items():
             row[col[h]] = c
         rows.append(row)
+    return len(col), rows
+
+
+def _expansion_matrix(graph: Supergraph, k, expansions) -> RankCertificate:
+    """Full-row-rank certificate of expansions against the weight-k heap basis."""
+    cols, rows = _dense_rows(graph, k, expansions)
     rank, pivots = integer_rank(rows)
-    cert = RankCertificate(len(rows), len(heaps), rank, tuple(pivots))
+    cert = RankCertificate(len(rows), cols, rank, tuple(pivots))
     if rank != len(rows):
         raise ConsistencyError(
             f"expansion matrix of weight {tuple(k)} has rank {rank} < {len(rows)}")
@@ -528,26 +512,11 @@ def lambda_equals_e(heap: Heap) -> bool:
 
 def span_membership(graph: Supergraph, letters, basis: GradedBasis) -> list[Fraction]:
     """Exact coordinates of the left-normed word in a rank-certified basis."""
-    word = [graph.index(v) for v in letters]
-    target_graph = basis.graph
-    k = [0] * graph.n
-    for v in word:
-        k[v] += 1
-    kk = tuple(k)
-    names = [graph.names[v] for v in word]
-    poly = expand_monomial(left_normed(names), target_graph)
-    wk = tuple(basis.weight)
-    if heap_from_word(target_graph, names).weight() != wk:
-        raise InputError(f"word weight {kk} does not match basis weight")
-    heaps = enumerate_heaps(target_graph, wk)
-    idx = {h: i for i, h in enumerate(heaps)}
-    target = [Fraction(0)] * len(heaps)
-    for h, c in poly.terms.items():
-        target[idx[h]] = Fraction(c)
-    columns = []
-    for e in basis.elements:
-        colv = [Fraction(0)] * len(heaps)
-        for h, c in e.expansion.terms.items():
-            colv[idx[h]] = Fraction(c)
-        columns.append(colv)
+    monomial = left_normed(graph.names[graph.index(v)] for v in letters)
+    if monomial.weight(basis.graph) != tuple(basis.weight):
+        raise InputError(
+            f"word weight {monomial.weight(graph)} does not match basis weight")
+    polys = [e.expansion for e in basis.elements]
+    polys.append(expand_monomial(monomial, basis.graph))
+    *columns, target = _dense_rows(basis.graph, basis.weight, polys)[1]
     return solve_exact(columns, target)

@@ -28,6 +28,11 @@ CHROMATIC_WEIGHTS = {
     "sample_graphs/tree6.json": ("0,0,3,0,0,3", "0,2,3,0,0,1", "1,2,1,0,0,1"),
 }
 
+BASIS_WEIGHTS = {
+    "sample_graphs/path6.json": ("0,0,2,1,2,1", "0,1,2,1,1,0"),
+    "sample_graphs/tree6.json": ("0,0,3,0,0,3", "0,1,2,1,1,0"),
+}
+
 
 def _cases():
     out = []
@@ -42,6 +47,15 @@ def _cases():
                     "--json"])
     out.append(["mult", "table", "--graph", "sample_graphs/tree6.json",
                 "--cap", "1,1,2,1,1,2", "--json"])
+    for graph, weights in BASIS_WEIGHTS.items():
+        for weight in weights:
+            out.append(["basis", "lyndon", "--graph", graph, "--weight", weight,
+                        "--json"])
+            for base in ("3", "5"):
+                out.append(["basis", "lln", "--graph", graph, "--weight", weight,
+                            "--base", base, "--json"])
+            out.append(["verify", "triangular", "--graph", graph, "--weight",
+                        weight, "--json"])
     return out
 
 

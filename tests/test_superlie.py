@@ -9,13 +9,13 @@ from freeroots.heaps import (heap_from_word, single, superpose, sort_key,
                              standard_word, enumerate_heaps,
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
                              classify, heaps_up_to)
-from freeroots.supergraph import is_connected_support, support
+from freeroots.supergraph import is_connected_support, support, weights_up_to
 from freeroots.superlie import (HeapPolynomial, bracket_expand, expand_monomial,
                                 leaf, bracket, left_normed, lambda_monomial,
                                 _expand_lambda, lyndon_heap_basis,
                                 super_letter_alphabet, lln_basis,
                                 lambda_equals_e, span_membership,
-                                integer_rank, solve_exact)
+                                integer_rank, solve_exact, signed_superpose)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,111 @@ def test_signed_product_associative():
         h2, s2 = signed_superpose(b, c)
         h2, s2b = signed_superpose(a, h2)
         assert (h1, s1 * s1b) == (h2, s2 * s2b)
+
+
+def dict_rewriting_sign(graph, word, target):
+    """Oracle: match the i-th occurrence of each letter, count odd inversions."""
+    psi = graph.psi
+    odd_positions = [i for i, v in enumerate(word) if v in psi]
+    if len(odd_positions) < 2:
+        return 1
+    seen = {}
+    where = {}
+    for pos, v in enumerate(target):
+        n = seen.get(v, 0)
+        where[(v, n)] = pos
+        seen[v] = n + 1
+    seen.clear()
+    mapped = []
+    for i in odd_positions:
+        v = word[i]
+        n = seen.get(v, 0)
+        mapped.append(where[(v, n)])
+        seen[v] = n + 1
+    inversions = 0
+    for a in range(len(mapped)):
+        for b in range(a + 1, len(mapped)):
+            if mapped[a] > mapped[b]:
+                inversions += 1
+    return -1 if inversions & 1 else 1
+
+
+def concat(x, y):
+    """Oracle: bilinear product in the enveloping algebra, u_E u_F = +-u_{EoF}."""
+    out = {}
+    for e, a in x.terms.items():
+        for f, b in y.terms.items():
+            h, sign = signed_superpose(e, f)
+            out[h] = out.get(h, 0) + a * b * sign
+    return HeapPolynomial(x.graph, out)
+
+
+def _assert_sign_matches_oracle(e, f):
+    h, sign = signed_superpose(e, f)
+    word = standard_word(e) + standard_word(f)
+    assert sign == dict_rewriting_sign(e.graph, word, standard_word(h)), (e, f)
+
+
+def test_signed_superpose_sign_matches_dict_oracle(path6):
+    """Every pair of nonempty heaps of total height <= 6 on every supergraph
+    with at most 3 vertices and every psi, and random pairs on path6."""
+    for n in range(1, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [Supergraph("abc"[:n], edges, psi=psi)
+                  for r in range(len(pairs) + 1)
+                  for edges in itertools.combinations(pairs, r)
+                  for s in range(n + 1)
+                  for psi in itertools.combinations(range(n), s)]
+        for g in graphs:
+            by_height = [[] for _ in range(6)]
+            for w in weights_up_to((5,) * n):
+                if 0 < sum(w) < 6:
+                    by_height[sum(w)].extend(enumerate_heaps(g, w))
+            for a in range(1, 6):
+                for b in range(1, 7 - a):
+                    for e in by_height[a]:
+                        for f in by_height[b]:
+                            _assert_sign_matches_oracle(e, f)
+    rng = random.Random(7)
+    for _ in range(3000):
+        e, f = (heap_from_word(path6, [rng.randrange(6)
+                                       for _ in range(rng.randint(1, 7))])
+                for _ in range(2))
+        _assert_sign_matches_oracle(e, f)
+
+
+def _bracket_nodes(m):
+    if not m.is_leaf:
+        yield m
+        yield from _bracket_nodes(m.left)
+        yield from _bracket_nodes(m.right)
+
+
+def test_bracket_expand_matches_concat_oracle(path6):
+    """[x, y] = x y - (-1)^{p(x)p(y)} y x on every bracket of both bases."""
+    checked = 0
+    for k in ((0, 0, 2, 1, 2, 1), (0, 1, 2, 1, 1, 0), (0, 0, 2, 2, 2, 1)):
+        bases = [lyndon_heap_basis(path6, k)]
+        bases += [lln_basis(path6, k, base) for base in ("3", "5")]
+        for basis in bases:
+            for element in basis.elements:
+                for node in _bracket_nodes(element.monomial):
+                    x = expand_monomial(node.left, basis.graph)
+                    y = expand_monomial(node.right, basis.graph)
+                    s = 1 if x.parity() and y.parity() else -1
+                    out = bracket_expand(x, y)
+                    assert out == concat(x, y) + concat(y, x) * s
+                    assert 0 not in out.terms.values()
+                    checked += 1
+    assert checked > 100
+
+
+def test_heap_polynomial_keeps_no_zero_coefficients(path6):
+    h3, h4 = single(path6, "3"), single(path6, "4")
+    assert HeapPolynomial(path6, {h3: 0, h4: 2}).terms == {h4: 2}
+    x = expand_monomial(left_normed("3456"), path6)
+    assert x and not (x + x * -1).terms and not (x * 0).terms
+    assert (x - x).terms == {}
 
 
 def test_grade_space_dimension_matches_left_normed_span(path6):
@@ -426,6 +531,17 @@ def test_span_membership_zero_for_vanishing_word(path6):
     basis = lln_basis(path6, k, "3")
     coords = span_membership(path6, list("3546"), basis)
     assert all(c == 0 for c in coords)
+
+
+def test_span_membership_refuses_wrong_weight_before_expanding(path6, monkeypatch):
+    basis = lln_basis(path6, (0, 0, 2, 1, 2, 1), "3")
+
+    def no_expansion(*args):
+        raise AssertionError("the word was expanded before its weight was checked")
+
+    monkeypatch.setattr("freeroots.superlie.expand_monomial", no_expansion)
+    with pytest.raises(InputError):
+        span_membership(path6, list("45635"), basis)
 
 
 def test_bracket_closure_below_larger_factor(edge36):
