@@ -7,7 +7,8 @@ C(q, m): directly, as counts of ordered m-tuples of independent sets; by the
 clique-join graph, as m! times its partitions into m independent blocks; by
 the bond-lattice expansion, whose coefficients are root multiplicities, as
 forward differences of its values at q = 0..ht(k).  Only ``_from_binomial``
-builds a polynomial.  The routes must agree and the tests enforce that.
+builds a polynomial.  The routes must agree, as tuples with trailing zeros
+dropped, and the tests and ``verify all`` enforce that.
 """
 
 from __future__ import annotations
@@ -174,6 +175,14 @@ def choose_q(d: int) -> RationalPoly:
     return binomial_poly(RationalPoly.q(), d)
 
 
+def _trimmed(counts) -> tuple[int, ...]:
+    """The coefficient tuple without trailing zeros, so equal polynomials match."""
+    counts = list(counts)
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
+
+
 def _from_binomial(counts) -> RationalPoly:
     """sum_m counts[m] * C(q, m), the one place a route builds a polynomial."""
     out = RationalPoly.zero()
@@ -191,9 +200,14 @@ def _choose(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # Chromatic polynomials.
 
-@functools.lru_cache(maxsize=None)
 def chromatic_poly_simple(graph: Supergraph) -> RationalPoly:
-    """Classical chromatic polynomial via partitions into independent sets.
+    """Classical chromatic polynomial via partitions into independent sets."""
+    return _from_binomial(_partition_counts(graph))
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_counts(graph: Supergraph) -> tuple[int, ...]:
+    """Binomial-basis coefficients m! p_m of the chromatic polynomial.
 
     pi(q) = sum_m p_m q(q-1)...(q-m+1) = sum_m m! p_m C(q, m), where p_m
     counts partitions of the vertex set into m nonempty independent blocks;
@@ -226,8 +240,7 @@ def chromatic_poly_simple(graph: Supergraph) -> RationalPoly:
         grow(1 << low, adj[low], members)
         return tuple(acc)
 
-    return _from_binomial([cnt * math.factorial(m)
-                           for m, cnt in enumerate(parts(full))])
+    return tuple(cnt * math.factorial(m) for m, cnt in enumerate(parts(full)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,9 +267,7 @@ def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
             rest[v] -= 1
         for m, cnt in enumerate(_tuple_counts(graph, tuple(rest))):
             acc[m + 1] += cnt
-    while acc and not acc[-1]:
-        acc.pop()
-    return tuple(acc)
+    return _trimmed(acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,13 +295,19 @@ def k_chromatic_direct(graph: Supergraph, k) -> RationalPoly:
     return _from_binomial(_tuple_counts(plain(graph), check_weight(graph, k)))
 
 
-def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
-    """Multicolouring polynomial via the clique-join graph, divided by k!."""
+def _join_counts(graph: Supergraph, k) -> tuple[int, ...]:
+    """Binomial-basis coefficients m! p_m / k! of the join route; each tuple
+    realizing k gives k! ordered partitions of the join graph, so it is exact."""
     k = check_weight(graph, k)
     if not any(k):
-        return RationalPoly.one()
-    return (chromatic_poly_simple(join_graph(graph, k))
-            / math.prod(map(math.factorial, k)))
+        return (1,)
+    scale = math.prod(map(math.factorial, k))
+    return _trimmed(c // scale for c in _partition_counts(join_graph(graph, k)))
+
+
+def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
+    """Multicolouring polynomial via the clique-join graph, divided by k!."""
+    return _from_binomial(_join_counts(graph, k))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +361,8 @@ def bond_lattice(graph: Supergraph, k) -> list[BondPartition]:
     return out
 
 
-def k_chromatic_bond(graph: Supergraph, k, mult) -> RationalPoly:
-    """Bond-lattice expansion of the multicolouring polynomial.
+def _bond_counts(graph: Supergraph, k, mult) -> tuple[int, ...]:
+    """Binomial-basis coefficients by the bond-lattice expansion.
 
     ``mult`` maps a block weight to the multiplicity of the corresponding
     free root.  Blocks of even weight contribute C(q*mult, D) and blocks of
@@ -356,7 +373,7 @@ def k_chromatic_bond(graph: Supergraph, k, mult) -> RationalPoly:
     """
     k = check_weight(graph, k)
     if not any(k):
-        return RationalPoly.one()
+        return (1,)
     if not is_free_weight(graph, k):
         raise InputError(f"weight {k} is not free")
     points = range(ht(k) + 1)
@@ -378,4 +395,9 @@ def k_chromatic_bond(graph: Supergraph, k, mult) -> RationalPoly:
     while values:
         counts.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    return _from_binomial(counts)
+    return _trimmed(counts)
+
+
+def k_chromatic_bond(graph: Supergraph, k, mult) -> RationalPoly:
+    """Bond-lattice expansion of the multicolouring polynomial."""
+    return _from_binomial(_bond_counts(graph, k, mult))

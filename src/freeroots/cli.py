@@ -321,9 +321,9 @@ def run_verification_suite(graph, cap):
         dim_ok = dim_ok and agree
         if not record.agree:
             disagreements.append(record.to_json())
-        direct = ch.k_chromatic_direct(graph, k)
-        same = (direct == ch.k_chromatic_join(graph, k)
-                and direct == ch.k_chromatic_bond(
+        direct = ch._tuple_counts(sg.plain(graph), k)
+        same = (direct == ch._join_counts(graph, k)
+                and direct == ch._bond_counts(
                     graph, k, lambda w: mult_mod.mult_free_root(graph, w)))
         chrom_ok = chrom_ok and same
     add(f"triangularity over {len(weights)} weights", tri_ok)

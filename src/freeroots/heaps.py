@@ -18,9 +18,10 @@ letter.  Conjugacy classes and decompositions stay public, and square
 roots are searched for in the test suite, as the definitions the word
 rules are checked against.
 
-Heaps are interned per graph so standard words are computed once, and all
-parity-independent layers (enumeration, the order, Lyndon structure) are
-computed on the psi-stripped twin of the graph and shared.
+A heap lives on the adjacency; psi only gives its letters a parity.  So each
+heap is interned once, over the plain twin of its graph, where standard
+words, enumeration and Lyndon structure are computed once for every psi; a
+heap over a graph with psi, real or psi0 vertices is an uninterned view.
 """
 
 from __future__ import annotations
@@ -36,16 +37,19 @@ from .supergraph import Supergraph, plain, check_weight, support, weight_gcd, \
 class Heap:
     """Canonical heap of pieces; a piece is a ``(position, level)`` pair.
 
-    Instances are immutable, hashable and interned per graph; ``pieces`` is
-    sorted by ``(position, level)``.  Use :func:`heap_from_word` or
+    Instances are immutable, hashable and equal when graph and pieces are;
+    ``pieces`` is sorted by ``(position, level)``.  ``_shared`` is the heap
+    interned over the plain twin: the heap itself over a plain graph, else
+    the heap this one views.  Use :func:`heap_from_word` or
     :func:`heap_from_pieces` to construct.
     """
 
-    __slots__ = ("graph", "pieces", "_hash", "_st")
+    __slots__ = ("graph", "pieces", "_shared", "_hash", "_st")
 
-    def __init__(self, graph: Supergraph, pieces: tuple):
+    def __init__(self, graph: Supergraph, pieces: tuple, shared=None):
         self.graph = graph
         self.pieces = pieces
+        self._shared = self if shared is None else shared  # empty heaps are falsy
         self._hash = hash((graph, pieces))
         self._st = None
 
@@ -54,7 +58,8 @@ class Heap:
             return True
         if not isinstance(other, Heap):
             return NotImplemented
-        return self.pieces == other.pieces and self.graph == other.graph
+        return self.pieces == other.pieces and (self.graph is other.graph
+                                                or self.graph == other.graph)
 
     def __hash__(self):
         return self._hash
@@ -90,24 +95,21 @@ _REGISTRY: dict[Supergraph, dict[tuple, Heap]] = {}
 
 
 def _intern(graph: Supergraph, pieces) -> Heap:
+    """The heap of these pieces over ``graph``, pooled under its plain twin."""
+    base = plain(graph)
     pieces = tuple(sorted(pieces))
-    pool = _REGISTRY.get(graph)
+    pool = _REGISTRY.get(base)
     if pool is None:
-        pool = _REGISTRY[graph] = {}
+        pool = _REGISTRY[base] = {}
     heap = pool.get(pieces)
     if heap is None:
-        heap = pool[pieces] = Heap(graph, pieces)
-    return heap
+        heap = pool[pieces] = Heap(base, pieces)
+    return _view(graph, heap)
 
 
-def _retag(graph: Supergraph, heap: Heap) -> Heap:
-    """The same pile of pieces over another graph with identical adjacency."""
-    if heap.graph is graph:
-        return heap
-    twin = _intern(graph, heap.pieces)
-    if twin._st is None and heap._st is not None:
-        twin._st = heap._st
-    return twin
+def _view(graph: Supergraph, heap: Heap) -> Heap:
+    """The shared ``heap`` seen over ``graph``; itself when ``graph`` is plain."""
+    return heap if graph.is_plain() else Heap(graph, heap.pieces, heap)
 
 
 def heap_from_word(graph: Supergraph, letters) -> Heap:
@@ -164,9 +166,7 @@ def superpose(left: Heap, right: Heap) -> Heap:
     graph = left.graph
     if graph is not right.graph and graph != right.graph:
         raise InputError("superposition needs a common supergraph")
-    base = plain(graph)
-    out = _superpose_plain(_retag(base, left), _retag(base, right))
-    return _retag(graph, out)
+    return _view(graph, _superpose_plain(left._shared, right._shared))
 
 
 def standard_word(heap: Heap) -> tuple[int, ...]:
@@ -180,6 +180,7 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
     lowest remaining piece of a position is minimal exactly when it lies
     below the lowest remaining piece of every neighbouring position.
     """
+    heap = heap._shared
     if heap._st is not None:
         return heap._st
     m = len(heap.pieces)
@@ -228,17 +229,10 @@ def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
     return tuple(sorted(found, key=sort_key))
 
 
-def _from_plain(table, graph: Supergraph, k) -> tuple[Heap, ...]:
-    """``table(plain twin, k)``, with its heaps moved back onto ``graph``."""
-    k = check_weight(graph, k)
-    base = plain(graph)
-    out = table(base, k)
-    return out if base is graph else tuple(_retag(graph, h) for h in out)
-
-
 def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All heaps of weight exactly ``k``, ascending in the heap order."""
-    return _from_plain(_enumerate_plain, graph, k)
+    k = check_weight(graph, k)
+    return tuple(_view(graph, h) for h in _enumerate_plain(plain(graph), k))
 
 
 def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
@@ -303,13 +297,12 @@ def is_periodic(heap: Heap) -> bool:
     """True if the heap is a d-th power, d >= 2, of a smaller heap."""
     k = heap.weight()
     g = weight_gcd(k)
-    base_graph = plain(heap.graph)
-    target = _retag(base_graph, heap)
+    target = heap._shared
     for d in range(2, g + 1):
         if g % d:
             continue
         root_weight = divide_weight(k, d)
-        for f in _enumerate_plain(base_graph, root_weight):
+        for f in _enumerate_plain(target.graph, root_weight):
             power = f
             for _ in range(d - 1):
                 power = _superpose_plain(power, f)
@@ -387,7 +380,8 @@ def _lyndon_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
 
 def lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All Lyndon heaps of weight ``k``, ascending."""
-    return _from_plain(_lyndon_plain, graph, k)
+    k = check_weight(graph, k)
+    return tuple(_view(graph, h) for h in _lyndon_plain(plain(graph), k))
 
 
 def super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:

@@ -11,7 +11,8 @@ from freeroots.chromatic import (RationalPoly, binomial_poly, choose_q,
                                  k_chromatic_join, k_chromatic_bond,
                                  bond_lattice, BondPartition,
                                  linear_coefficient, _nonempty_independent_sets,
-                                 _choose)
+                                 _choose, _tuple_counts, _join_counts,
+                                 _bond_counts)
 from freeroots.multiplicity import mult_free_root
 from freeroots.supergraph import (ht, is_connected_support, is_free_weight,
                                   support, independent_sets, load_graph, plain,
@@ -359,6 +360,18 @@ def test_bond_route_matches_fraction_products():
         def mult(w):
             return mult_free_root(graph, w)
         assert k_chromatic_bond(graph, k, mult) == fraction_bond(graph, k, mult), (graph, k)
+
+
+def test_routes_agree_as_integer_tuples():
+    """The binomial-basis tuples ``verify all`` compares are equal, with no
+    trailing zero."""
+    for graph, k in bond_cases():
+        def mult(w):
+            return mult_free_root(graph, w)
+        direct = _tuple_counts(plain(graph), k)
+        join = _join_counts(graph, k)
+        bond = _bond_counts(graph, k, mult)
+        assert direct == join == bond and direct[-1], (graph, k)
 
 
 def test_integer_choose_matches_binomial_poly():

@@ -16,7 +16,10 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              standard_factorization, super_letter_factors,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
-from freeroots.superlie import super_letter_alphabet
+from freeroots import heaps
+from freeroots.supergraph import plain, support
+from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
+                                lln_basis)
 
 THREE_VERTEX_EDGE_SETS = [(), ((0, 1),), ((0, 2),), ((1, 2),),
                           ((0, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 2)),
@@ -542,3 +545,52 @@ def test_heap_json(p4_odd):
 def test_multicharacter_names_dot_join():
     g = Supergraph(["alpha", "beta"], [(0, 1)])
     assert heap_from_word(g, ["alpha", "beta"]).word() == "alpha.beta"
+
+
+# ---------------------------------------------------------------------------
+# One interned heap per adjacency; heaps over annotated graphs are views.
+
+def with_psi(graph, psi):
+    return Supergraph(graph.names, graph.edges, psi=psi)
+
+
+def test_enumerated_views_share_the_plain_twins_heaps(p4):
+    for r in range(p4.n + 1):
+        for psi in itertools.combinations(range(p4.n), r):
+            g = with_psi(p4, psi)
+            for k in ((1, 1, 1, 1), (2, 1, 1, 0), (1, 2, 2, 1), (0, 3, 0, 2)):
+                twin = enumerate_heaps(plain(g), k)
+                got = enumerate_heaps(g, k)
+                assert len(got) == len(twin)
+                for h, t in zip(got, twin):
+                    assert h._shared is t and t._shared is t
+                    assert h.graph == g and h.pieces == t.pieces
+
+
+def test_registry_pools_plain_graphs_only(path6, tree6):
+    for graph, k in ((path6, (0, 0, 2, 1, 2, 1)), (path6, (0, 1, 2, 1, 1, 0)),
+                     (tree6, (0, 0, 3, 0, 0, 3)), (tree6, (0, 1, 2, 1, 1, 0))):
+        lyndon_heap_basis(graph, k)
+        for base in support(k):
+            lln_basis(graph, k, base)
+    assert heaps._REGISTRY
+    assert all(g.is_plain() for g in heaps._REGISTRY)
+
+
+def test_empty_view_shares_the_empty_heap(path6, p4_odd):
+    for g in (path6, p4_odd):
+        assert empty_heap(g)._shared is empty_heap(plain(g))
+        assert empty_heap(g) == empty_heap(g) != empty_heap(plain(g))
+
+
+def test_views_compare_by_graph_and_pieces(p4):
+    g, other = with_psi(p4, [1]), with_psi(p4, [2])
+    a = heap_from_word(g, "1232")
+    b = superpose(heap_from_word(g, "12"), heap_from_word(g, "32"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a._shared is b._shared
+    assert standard_word(a) == standard_word(b) == standard_word(a._shared)
+    twin = heap_from_word(plain(g), "1232")
+    assert twin is a._shared and a != twin and twin != a
+    c = heap_from_word(other, "1232")
+    assert c._shared is twin and a != c and len({a, b, c, twin}) == 3
