@@ -42,7 +42,9 @@ def clear_caches() -> None:
 
     The caches and the registry grow for the life of the process; a
     long-lived caller can release them here.  Values computed afterwards
-    equal the earlier ones.  Nothing in the library calls this.
+    equal the earlier ones.  Nothing in the library calls this.  The table
+    of live supergraphs is left alone: it is weak, and emptying it would
+    give a graph that is still alive a second, distinct equal twin.
     """
     for module in (supergraph, heaps, superlie, chromatic, multiplicity):
         for obj in vars(module).values():

@@ -25,22 +25,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        args = super().parse_args(args, namespace)
+        if args.seed is not None:
+            raise InputError("--seed is not supported: all computations are deterministic")
+        return args
+
 
 def _base_parser(prog: str) -> _Parser:
     p = _Parser(prog=prog, add_help=True)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", help=argparse.SUPPRESS)
     return p
-
-
-def _reject_seed(args):
-    if args.seed is not None:
-        raise InputError("--seed is not supported: all computations are deterministic")
-
-
-def _load(args):
-    graph, matrix = sg.load_graph(args.graph)
-    return graph, matrix
 
 
 def _emit(args, command, inputs, result, certificates=None, human_lines=()):
@@ -59,7 +55,6 @@ def _cmd_validate(argv):
     p = _base_parser("freeroots validate")
     p.add_argument("file")
     args = p.parse_args(argv)
-    _reject_seed(args)
     doc = sg.load_document(args.file)
     matrix = sg.matrix_from_document(doc)
     if matrix is None:
@@ -97,8 +92,7 @@ def _cmd_heaps_enumerate(argv):
     p.add_argument("--weight", required=True)
     p.add_argument("--class", dest="cls", choices=_CLASS_FILTERS, default="heap")
     args = p.parse_args(argv)
-    _reject_seed(args)
-    graph, _ = _load(args)
+    graph, _ = sg.load_graph(args.graph)
     k = sg.parse_weight(graph, args.weight)
     all_heaps = hp.enumerate_heaps(graph, k)
     if args.cls == "heap":
@@ -127,8 +121,7 @@ def _cmd_basis(kind, argv):
     if kind == "lln":
         p.add_argument("--base", required=True)
     args = p.parse_args(argv)
-    _reject_seed(args)
-    graph, _ = _load(args)
+    graph, _ = sg.load_graph(args.graph)
     k = sg.parse_weight(graph, args.weight)
     if not sg.is_free_weight(graph, k):
         raise InputError(f"weight {','.join(map(str, k))} is not free")
@@ -154,8 +147,7 @@ def _cmd_mult(argv):
     p.add_argument("--weight", required=True)
     p.add_argument("--method", choices=("recursion", "closed", "both"), default="both")
     args = p.parse_args(argv)
-    _reject_seed(args)
-    graph, _ = _load(args)
+    graph, _ = sg.load_graph(args.graph)
     k = sg.parse_weight(graph, args.weight)
     record = mult_mod.mult_free_root(graph, k, method="both")
     result = record.to_json()
@@ -177,8 +169,7 @@ def _cmd_mult_table(argv):
     p.add_argument("--graph", required=True)
     p.add_argument("--cap", required=True)
     args = p.parse_args(argv)
-    _reject_seed(args)
-    graph, _ = _load(args)
+    graph, _ = sg.load_graph(args.graph)
     cap = sg.parse_weight(graph, args.cap)
     table = mult_mod.free_roots_up_to(graph, cap)
     result = table.to_json()
@@ -198,8 +189,7 @@ def _cmd_chromatic(argv):
     p.add_argument("--weight", required=True)
     p.add_argument("--method", choices=("direct", "join", "bond"), default="direct")
     args = p.parse_args(argv)
-    _reject_seed(args)
-    graph, _ = _load(args)
+    graph, _ = sg.load_graph(args.graph)
     k = sg.parse_weight(graph, args.weight)
     if args.method == "direct":
         poly = ch.k_chromatic_direct(graph, k)
@@ -243,8 +233,7 @@ def _cmd_verify(which, argv):
     else:
         p.add_argument("--cap", required=True)
     args = p.parse_args(argv)
-    _reject_seed(args)
-    graph, _ = _load(args)
+    graph, _ = sg.load_graph(args.graph)
 
     if which in ("pbw", "cartier-foata"):
         cap = sg.parse_weight(graph, args.cap)

@@ -31,13 +31,14 @@ import itertools
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, weight_gcd, \
-    divide_weight, is_connected_support, weights_up_to
+    divide_weight, is_connected_support, weights_up_to, _base_first_order
 
 
 class Heap:
     """Canonical heap of pieces; a piece is a ``(position, level)`` pair.
 
-    Instances are immutable, hashable and equal when graph and pieces are;
+    Instances are immutable, hashable and equal when their graph is the
+    same object (graphs are canonical) and their pieces are equal;
     ``pieces`` is sorted by ``(position, level)``.  ``_shared`` is the heap
     interned over the plain twin: the heap itself over a plain graph, else
     the heap this one views.  Use :func:`heap_from_word` or
@@ -58,8 +59,7 @@ class Heap:
             return True
         if not isinstance(other, Heap):
             return NotImplemented
-        return self.pieces == other.pieces and (self.graph is other.graph
-                                                or self.graph == other.graph)
+        return self.graph is other.graph and self.pieces == other.pieces
 
     def __hash__(self):
         return self._hash
@@ -128,6 +128,11 @@ def heap_from_word(graph: Supergraph, letters) -> Heap:
     return _intern(graph, pieces)
 
 
+def _transport(heap: Heap, graph: Supergraph) -> Heap:
+    """The same heap over ``graph``, another order of the same named vertices."""
+    return heap_from_word(graph, (heap.graph.names[p] for p in standard_word(heap)))
+
+
 def heap_from_pieces(graph: Supergraph, pieces) -> Heap:
     """Re-canonicalize an arbitrary collection of pieces (levels recomputed)."""
     ordered = sorted(pieces, key=lambda pl: (pl[1], pl[0]))
@@ -164,7 +169,7 @@ def _superpose_plain(left: Heap, right: Heap) -> Heap:
 def superpose(left: Heap, right: Heap) -> Heap:
     """Let ``right`` fall on top of ``left``; the monoid product."""
     graph = left.graph
-    if graph is not right.graph and graph != right.graph:
+    if graph is not right.graph:
         raise InputError("superposition needs a common supergraph")
     return _view(graph, _superpose_plain(left._shared, right._shared))
 
@@ -494,15 +499,10 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
     on the base that uses it once.
     """
     graph = heap.graph
-    b = 0 if base is None else graph.index(base)
-    if b != 0:
-        order = (b,) + tuple(j for j in range(graph.n) if j != b)
-        work = graph.with_order(order)
-        pos = {old: new for new, old in enumerate(order)}
-        twin = heap_from_pieces(work, [(pos[p], lvl) for p, lvl in heap.pieces])
-        return tuple(
-            heap_from_pieces(graph, [(order[p], lvl) for p, lvl in f.pieces])
-            for f in super_letter_factors(twin))
+    if base is not None and graph.index(base) != 0:
+        work, _ = _base_first_order(graph, base)
+        return tuple(_transport(f, graph)
+                     for f in super_letter_factors(_transport(heap, work)))
     word = standard_word(heap)
     cuts = [i for i, p in enumerate(word) if p == 0]
     if not cuts:

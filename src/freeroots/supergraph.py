@@ -7,6 +7,11 @@ coming from a supermatrix: ``real`` (vertices with diagonal entry 2) and
 declaration order of the vertex list; everything downstream (standard words,
 Lyndon heaps, bases) depends on it.
 
+A supergraph is canonical: constructing one returns the live instance with
+the same names, edges and annotations, so two equal graphs are the same
+object and compare by identity.  The table of live graphs is weak, so a
+graph nothing refers to is freed as usual.
+
 Weights are plain tuples of non-negative integers in vertex order.
 """
 
@@ -18,9 +23,36 @@ import json
 import math
 import operator
 import re
+import threading
+import weakref
 from fractions import Fraction
 
 from .errors import InputError
+
+
+# The live graph for each (names, edges, psi, real, psi0); a graph that
+# nothing else refers to drops out by itself.
+_CANONICAL = weakref.WeakValueDictionary()
+_CANONICAL_LOCK = threading.Lock()
+
+
+def _vertex_index(index: dict, v) -> int:
+    """Position of a vertex given by name or by integer index.
+
+    ``index`` maps each name to its position.
+    """
+    if isinstance(v, str):
+        try:
+            return index[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise InputError(f"a vertex is a name or an integer index, got {v!r}") from None
+    if not 0 <= i < len(index):
+        raise InputError(f"vertex index {i} out of range")
+    return i
 
 
 class Supergraph:
@@ -28,38 +60,39 @@ class Supergraph:
 
     Vertices may be referred to by name (str) or by index (int) when
     constructing; internally everything is index based, with ``names[i]``
-    giving the display name of vertex ``i``.
+    giving the display name of vertex ``i``.  Equal graphs are one object:
+    the constructor returns the live instance with the same names, edges
+    and annotations, so graphs compare and hash by identity.
     """
 
     __slots__ = ("names", "n", "edges", "psi", "real", "psi0",
-                 "adj", "zeta", "zeta_neighbors", "_index", "_hash")
+                 "adj", "zeta", "zeta_neighbors", "_index", "__weakref__")
 
-    def __init__(self, names, edges=(), psi=(), real=(), psi0=()):
+    def __new__(cls, names, edges=(), psi=(), real=(), psi0=()):
         names = tuple(str(v) for v in names)
         if len(set(names)) != len(names):
             raise InputError(f"duplicate vertex names: {names}")
-        self.names = names
-        self.n = len(names)
-        self._index = {v: i for i, v in enumerate(names)}
+        index = {v: i for i, v in enumerate(names)}
 
         norm_edges = set()
-        for e in edges:
-            a, b = e
-            i, j = self._resolve(a), self._resolve(b)
+        for a, b in edges:
+            i, j = _vertex_index(index, a), _vertex_index(index, b)
             if i == j:
                 raise InputError(f"self-loop at vertex {names[i]!r}")
             norm_edges.add((min(i, j), max(i, j)))
-        self.edges = frozenset(norm_edges)
-        self.psi = frozenset(self._resolve(v) for v in psi)
-        self.real = frozenset(self._resolve(v) for v in real)
-        self.psi0 = frozenset(self._resolve(v) for v in psi0)
-        if not self.psi0 <= self.psi:
+        edges = frozenset(norm_edges)
+        psi, real, psi0 = (frozenset(_vertex_index(index, v) for v in vs)
+                           for vs in (psi, real, psi0))
+        if not psi0 <= psi:
             raise InputError("psi0 must be a subset of psi")
-        if self.real & self.psi0:
+        if real & psi0:
             raise InputError("a vertex cannot be both real and of zero norm")
 
+        self = super().__new__(cls)
+        self.names, self.n, self._index = names, len(names), index
+        self.edges, self.psi, self.real, self.psi0 = edges, psi, real, psi0
         adj = [0] * self.n
-        for i, j in self.edges:
+        for i, j in edges:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj = tuple(adj)
@@ -69,37 +102,18 @@ class Supergraph:
         self.zeta_neighbors = tuple(
             tuple(j for j in range(self.n) if self.zeta[i] >> j & 1)
             for i in range(self.n))
-        self._hash = hash((self.names, self.edges, self.psi, self.real, self.psi0))
+        with _CANONICAL_LOCK:
+            return _CANONICAL.setdefault((names, edges, psi, real, psi0), self)
 
-    def _resolve(self, v) -> int:
-        if isinstance(v, str):
-            try:
-                return self._index[v]
-            except KeyError:
-                raise InputError(f"unknown vertex {v!r}") from None
-        i = int(v)
-        if not 0 <= i < self.n:
-            raise InputError(f"vertex index {i} out of range")
-        return i
+    def __reduce__(self):
+        return Supergraph, (self.names, self.edges, self.psi, self.real, self.psi0)
 
     def index(self, v) -> int:
         """Index of a vertex given by name or index."""
-        return self._resolve(v)
+        return _vertex_index(self._index, v)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Supergraph):
-            return NotImplemented
-        return (self.names == other.names and self.edges == other.edges
-                and self.psi == other.psi and self.real == other.real
-                and self.psi0 == other.psi0)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return (f"Supergraph({list(self.names)}, edges={sorted(self.edges)}, "
@@ -111,7 +125,7 @@ class Supergraph:
         ``order`` lists old indices in their new order; names follow their
         vertices, so only the total order changes.
         """
-        order = tuple(self._resolve(v) for v in order)
+        order = tuple(self.index(v) for v in order)
         if sorted(order) != list(range(self.n)):
             raise InputError(f"not a permutation of the vertices: {order}")
         pos = {old: new for new, old in enumerate(order)}
@@ -128,7 +142,7 @@ class Supergraph:
 
     def induced(self, vertices) -> "Supergraph":
         """Induced sub-supergraph on the given vertices, order preserved."""
-        keep = sorted(self._resolve(v) for v in vertices)
+        keep = sorted(self.index(v) for v in vertices)
         pos = {old: new for new, old in enumerate(keep)}
         kset = set(keep)
         return Supergraph(
@@ -148,9 +162,18 @@ def plain(graph: Supergraph) -> Supergraph:
     The heap monoid, its order and the Lyndon structure depend only on the
     plain twin, so caches for those layers key on it.
     """
-    if graph.is_plain():
-        return graph
-    return Supergraph(graph.names, tuple(graph.edges))
+    return Supergraph(graph.names, graph.edges)
+
+
+def _base_first_order(graph: Supergraph, base) -> tuple[Supergraph, tuple[int, ...]]:
+    """The graph reordered so ``base`` is least, relative order kept.
+
+    Also returns ``order``, where ``order[new]`` is the old index of the
+    vertex now at ``new``; a weight permutes as ``tuple(k[o] for o in order)``.
+    """
+    i = graph.index(base)
+    order = (i,) + tuple(j for j in range(graph.n) if j != i)
+    return graph.with_order(order), order
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +268,7 @@ def independent_sets(graph: Supergraph, restrict=None) -> list[tuple[int, ...]]:
     if restrict is None:
         verts = list(range(graph.n))
     else:
-        verts = sorted(graph._resolve(v) for v in restrict)
+        verts = sorted(graph.index(v) for v in restrict)
     out = [()]
     for r in range(1, len(verts) + 1):
         for sub in itertools.combinations(verts, r):
@@ -302,18 +325,7 @@ class BkmSupermatrix:
             raise InputError("matrix is not square")
         self.entries = tuple(rows)
         index = {v: i for i, v in enumerate(self.names)}
-        resolved = set()
-        for v in psi:
-            if isinstance(v, str):
-                if v not in index:
-                    raise InputError(f"unknown vertex {v!r} in psi")
-                resolved.add(index[v])
-            else:
-                i = int(v)
-                if not 0 <= i < self.n:
-                    raise InputError(f"psi index {i} out of range")
-                resolved.add(i)
-        self.psi = frozenset(resolved)
+        self.psi = frozenset(_vertex_index(index, v) for v in psi)
 
     def __getitem__(self, ij):
         i, j = ij

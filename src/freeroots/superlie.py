@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ConsistencyError
-from .supergraph import Supergraph, check_weight
-from .heaps import (Heap, heap_from_word, superpose, single, standard_word,
+from .supergraph import Supergraph, check_weight, _base_first_order
+from .heaps import (Heap, _transport, superpose, single, standard_word,
                     sort_key, enumerate_heaps, super_lyndon_heaps,
                     is_super_letter, super_letter_factors, heaps_up_to,
                     is_super_lyndon_word, word_standard_factorization)
@@ -39,8 +39,9 @@ class LieMonomial:
     __slots__ = ("name", "left", "right", "_hash")
 
     def __init__(self, name=None, left=None, right=None):
-        if (name is None) == (left is None or right is None):
-            raise InputError("a monomial is a leaf or a bracket, not both")
+        if (left is None) != (right is None) or (name is None) == (left is None):
+            raise InputError("a monomial is a name with no children "
+                             "or two children with no name")
         self.name = name
         self.left = left
         self.right = right
@@ -424,13 +425,6 @@ def lyndon_heap_basis(graph: Supergraph, k) -> GradedBasis:
 # ---------------------------------------------------------------------------
 # Super-letter alphabets and the left-normed (LLN) basis.
 
-def _base_first_order(graph: Supergraph, base) -> tuple[Supergraph, int]:
-    """Reorder so the chosen base vertex is least; relative order kept."""
-    i = graph.index(base)
-    order = (i,) + tuple(j for j in range(graph.n) if j != i)
-    return graph.with_order(order), i
-
-
 def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ...]:
     """All super-letters with the given base, weight <= cap, ascending.
 
@@ -438,14 +432,13 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
     vertex (names are unchanged, so words read naturally).
     """
     weight_cap = check_weight(graph, weight_cap)
-    work, i = _base_first_order(graph, base)
-    cap = (weight_cap[i],) + tuple(weight_cap[j] for j in range(graph.n) if j != i)
-    if cap[0] < 1:
-        cap = (1,) + cap[1:]
+    work, order = _base_first_order(graph, base)
+    # a super-letter uses its base exactly once, whatever the cap says there
+    cap = (1,) + tuple(weight_cap[o] for o in order[1:])
     letters = []
     for w, hs in heaps_up_to(work, cap).items():
-        if w[0] != 1:
-            continue  # a super-letter uses its base exactly once
+        if not w[0]:
+            continue
         for h in hs:
             if is_super_letter(h):
                 letters.append(h)
@@ -463,10 +456,10 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
     tuple of those words.
     """
     k = check_weight(graph, k)
-    work, i = _base_first_order(graph, base)
-    if k[i] < 1:
-        raise InputError(f"base vertex {graph.names[i]!r} is not in the support")
-    wk = (k[i],) + tuple(k[j] for j in range(graph.n) if j != i)
+    work, order = _base_first_order(graph, base)
+    wk = tuple(k[o] for o in order)
+    if wk[0] < 1:
+        raise InputError(f"base vertex {work.names[0]!r} is not in the support")
     elements = []
     for heap in super_lyndon_heaps(work, wk):
         letters = super_letter_factors(heap)
@@ -494,11 +487,9 @@ def lambda_equals_e(heap: Heap) -> bool:
     if not heap.pieces:
         raise InputError("empty heap")
     minimals = [p for p, lvl in heap.pieces if lvl == 0]
-    base = heap.graph.names[minimals[0]] if len(minimals) == 1 else None
-    if base is None:
+    if len(minimals) != 1:
         raise InputError(f"{heap!r} is not a super-letter")
-    work, _ = _base_first_order(heap.graph, base)
-    h = heap_from_word(work, (heap.graph.names[p] for p in standard_word(heap)))
+    h = _transport(heap, _base_first_order(heap.graph, minimals[0])[0])
     if not is_super_letter(h):
         raise InputError(f"{heap!r} is not a super-letter")
     w = standard_word(h)

@@ -237,6 +237,25 @@ def test_seed_rejected(tree6_file, capsys):
     assert "deterministic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{g}"],
+    ["heaps", "enumerate", "--graph", "{g}", "--weight", "0,0,1,0,0,1"],
+    ["basis", "lyndon", "--graph", "{g}", "--weight", "0,0,1,0,0,1"],
+    ["basis", "lln", "--graph", "{g}", "--weight", "0,0,1,0,0,1", "--base", "3"],
+    ["mult", "table", "--graph", "{g}", "--cap", "0,0,1,0,0,1"],
+    ["chromatic", "--graph", "{g}", "--weight", "0,0,1,0,0,1"],
+    ["verify", "pbw", "--graph", "{g}", "--cap", "0,0,1,0,0,1"],
+    ["verify", "triangular", "--graph", "{g}", "--weight", "0,0,1,0,0,1"],
+    ["verify", "all", "--graph", "{g}", "--cap", "0,0,1,0,0,1"],
+])
+def test_seed_rejected_by_every_command(tree6_file, capsys, argv):
+    argv = [a.format(g=tree6_file) for a in argv]
+    assert main(argv + ["--seed", "7"]) == 1
+    assert capsys.readouterr() == ("", "error: --seed is not supported: "
+                                   "all computations are deterministic\n")
+    assert main(argv) == 0
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
 

@@ -1,5 +1,11 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
+import re
+import sys
+import threading
 
 import pytest
 from fractions import Fraction
@@ -9,6 +15,7 @@ from freeroots import (Supergraph, BkmSupermatrix, InputError,
                        is_free_weight, is_connected_support, join_graph,
                        independent_sets, graph_from_document, parse_weight,
                        enumerate_heaps, mult_free_root)
+from freeroots import clear_caches, supergraph
 from freeroots.supergraph import plain, weights_up_to, support, ht
 from conftest import MALFORMED_DOCUMENTS
 
@@ -300,3 +307,119 @@ def test_induced_support_invariance(tree6_plain):
 def test_symmetrizer_none_for_asymmetric_pattern():
     m = BkmSupermatrix(["1", "2"], [[2, -1], [0, 2]])
     assert symmetrizer(m) is None
+
+
+# ---------------------------------------------------------------------------
+# Vertex indices: names or integers, nothing else.
+
+BAD_VERTICES = [("x", "unknown vertex 'x'"), (7, "vertex index 7 out of range"),
+                (-1, "vertex index -1 out of range"), (1.5, "1.5"), (2.9, "2.9"),
+                (None, "None")]
+
+
+@pytest.mark.parametrize("v, message", BAD_VERTICES)
+def test_bad_vertex_refused_everywhere(v, message):
+    names = ["a", "b", "c"]
+    calls = [lambda: Supergraph(names, [(0, v)]),
+             lambda: Supergraph(names, [(v, 1)]),
+             lambda: Supergraph(names, psi=[v]),
+             lambda: Supergraph(names, real=[v]),
+             lambda: Supergraph(names, psi=[0, 1, 2], psi0=[v]),
+             lambda: Supergraph(names).index(v),
+             lambda: Supergraph(names).with_order([v, 1, 2]),
+             lambda: BkmSupermatrix(names, [[2, 0, 0], [0, 2, 0], [0, 0, 2]], psi=[v])]
+    for call in calls:
+        with pytest.raises(InputError, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize("doc", [{"vertices": ["a", "b"], "psi": ["x"]},
+                                 {"vertices": ["a", "b"], "psi": [7]}])
+def test_matrix_documents_refuse_psi_like_graph_documents(doc):
+    messages = []
+    for d in (doc, {**doc, "matrix": [[2, 0], [0, 2]]}):
+        with pytest.raises(InputError) as exc:
+            graph_from_document(d)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# Canonical graphs: equal constructions are one object.
+
+def test_equal_constructions_are_one_object():
+    names = ["a", "b", "c", "d"]
+    g = Supergraph(names, [(0, 1), (1, 2), (2, 3)], psi=[1, 3], real=[0])
+    assert Supergraph(names, [("a", "b"), ("c", "b"), (3, "c")],
+                      psi=["d", "b"], real=["a"]) is g
+    assert Supergraph(tuple(names), {(3, 2), (2, 1), (1, 0)}, psi=(3, 1, 1),
+                      real=[0]) is g
+    assert Supergraph(names, g.edges, g.psi, g.real, g.psi0) is g
+    assert Supergraph(names, g.edges, psi=[1, 3]) is not g
+
+
+def test_involution_reorders_back_to_the_same_object(path6):
+    p = (1, 0, 3, 2, 5, 4)
+    assert path6.with_order(p).with_order(p) is path6
+    assert path6.with_order(range(6)) is path6
+
+
+def test_plain_is_the_canonical_plain_graph(path6, tree6, p4):
+    for g in (path6, tree6, p4):
+        assert plain(g) is Supergraph(g.names, g.edges)
+    assert plain(p4) is p4
+
+
+def test_copies_and_pickles_return_the_graph_itself(path6, tree6):
+    for g in (path6, tree6, Supergraph(["x"])):
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert copy.deepcopy([g, g])[1] is g
+
+
+def test_unreferenced_graphs_leave_the_table():
+    gc.collect()
+    before = len(supergraph._CANONICAL)
+    for i in range(1000):
+        Supergraph([f"throwaway{i}", "b"], [(0, 1)], psi=[0])
+    gc.collect()
+    assert len(supergraph._CANONICAL) == before
+
+
+def test_clear_caches_keeps_live_graphs_canonical(path6):
+    g = Supergraph(["s", "t", "u"], [(0, 1), (1, 2)], psi=["t"])
+    mult_free_root(g, (1, 2, 1))
+    clear_caches()
+    assert Supergraph(["s", "t", "u"], [(1, 0), (2, 1)], psi=[1]) is g
+    assert path6.with_order(range(6)) is path6
+
+
+def test_threads_constructing_one_graph_get_one_object():
+    """Eight threads build the same new graph, 200 graphs in turn.
+
+    Every thread must get the one object for each graph; a lost race in
+    the table would hand two threads distinct equal graphs.
+    """
+    rounds = 200
+    barrier = threading.Barrier(8, timeout=60)
+    results = [[] for _ in range(8)]
+
+    def build(out):
+        for r in range(rounds):
+            barrier.wait()
+            out.append(Supergraph([f"race{r}", "b", "c"], [(0, 1), (1, 2)], psi=[0]))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == rounds for out in results)
+    for r in range(rounds):
+        assert len({id(out[r]) for out in results}) == 1, r

@@ -8,9 +8,11 @@ from freeroots import InputError, ConsistencyError, Supergraph
 from freeroots.heaps import (heap_from_word, single, superpose, sort_key,
                              standard_word, enumerate_heaps,
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
-                             classify, heaps_up_to)
+                             classify, heaps_up_to, is_super_letter)
+from freeroots import supergraph, superlie
+from freeroots.supergraph import _base_first_order
 from freeroots.supergraph import is_connected_support, support, weights_up_to
-from freeroots.superlie import (HeapPolynomial, bracket_expand, expand_monomial,
+from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, expand_monomial,
                                 leaf, bracket, left_normed, lambda_monomial,
                                 _expand_lambda, lyndon_heap_basis,
                                 super_letter_alphabet, lln_basis,
@@ -586,3 +588,36 @@ def test_solve_exact_unique():
 def test_solve_exact_inconsistent():
     with pytest.raises(ConsistencyError):
         solve_exact([[Fraction(1), Fraction(2)]], [Fraction(1), Fraction(3)])
+
+
+# ---------------------------------------------------------------------------
+# Monomial shape and the one base-first reordering.
+
+@pytest.mark.parametrize("kwargs", [
+    {"name": "a", "left": leaf("b")},
+    {"name": "a", "right": leaf("b")},
+    {"left": leaf("a")},
+    {"right": leaf("a")},
+    {"name": "a", "left": leaf("b"), "right": leaf("c")},
+    {},
+])
+def test_monomial_is_a_bare_name_or_two_children(kwargs):
+    with pytest.raises(InputError):
+        LieMonomial(**kwargs)
+
+
+def test_base_first_order_lists_old_indices(path6):
+    work, order = _base_first_order(path6, "3")
+    assert order == (2, 0, 1, 3, 4, 5)
+    assert work is path6.with_order(order)
+    assert work.names == tuple(path6.names[o] for o in order)
+    assert _base_first_order(path6, 0) == (path6, tuple(range(6)))
+    assert superlie._base_first_order is supergraph._base_first_order
+
+
+def test_super_letter_alphabet_ignores_the_cap_at_the_base(path6):
+    alphabets = {super_letter_alphabet(path6, "3", (0, 1, c, 2, 2, 1)) for c in (0, 1, 3)}
+    assert len(alphabets) == 1
+    (alphabet,) = alphabets
+    assert len(alphabet) > 10
+    assert all(h.weight()[0] == 1 and is_super_letter(h) for h in alphabet)
