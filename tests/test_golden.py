@@ -56,6 +56,17 @@ def _cases():
                             "--base", base, "--json"])
             out.append(["verify", "triangular", "--graph", graph, "--weight",
                         weight, "--json"])
+    for graph in CHROMATIC_WEIGHTS:
+        out += [["validate", graph], ["validate", graph, "--json"]]
+    for cls in ("heap", "pyramid", "super-letter", "lyndon", "super-lyndon"):
+        out.append(["heaps", "enumerate", "--graph", "sample_graphs/path6.json",
+                    "--weight", "0,1,2,1,1,0", "--class", cls, "--json"])
+    for method in ("recursion", "closed", "both"):
+        out.append(["mult", "--graph", "sample_graphs/path6.json", "--weight",
+                    "0,0,2,1,2,1", "--method", method, "--json"])
+    for which in ("pbw", "cartier-foata"):
+        out.append(["verify", which, "--graph", "sample_graphs/tree6.json",
+                    "--cap", "1,1,2,1,1,2", "--json"])
     return out
 
 
