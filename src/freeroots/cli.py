@@ -4,14 +4,17 @@ Subcommands mirror the library: validate a matrix file, enumerate heaps,
 build the two bases, compute multiplicities and chromatic polynomials, and
 run the verification suites.  Output is deterministic; ``--json`` switches
 to a machine schema ``{command, inputs, result, certificates}``.  Exit
-codes: 0 success, 1 bad input, 2 failed internal consistency check.
+codes: 0 success, 1 bad input or a closed output pipe, 2 failed internal
+consistency check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InputError, ConsistencyError
 from . import supergraph as sg
@@ -39,11 +42,70 @@ def _base_parser(prog: str) -> _Parser:
     return p
 
 
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``: the same string, faster.
+
+    In CPython 3.10-3.13, ``indent`` makes the standard library encode in
+    pure Python through generators.  This walks dicts with ``str`` keys,
+    lists, tuples, exact ``str`` and ``int``, booleans and ``None`` itself;
+    any other subtree (a float, a subclass of ``int`` or ``str``, a dict
+    with other keys, an unknown type) is encoded by ``json.dumps`` and
+    re-indented, so its bytes and its exceptions are the standard
+    library's.
+    """
+    chunks = []
+    _encode(doc, "", "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _encode(o, lead, newline, put):
+    """Append ``o`` behind ``lead``, at the indentation ``newline`` ends with.
+
+    ``lead`` (a separator, a dict key) goes into the same chunk as a
+    scalar, so a document is about as many chunks as it has values.
+    """
+    t = type(o)
+    if t is str:
+        put(lead + _json_str(o))
+    elif t is int:
+        put(lead + int.__repr__(o))
+    elif t is dict and all(type(key) is str for key in o):
+        if not o:
+            put(lead + "{}")
+            return
+        inner = newline + "  "
+        put(lead + "{")
+        sep = inner
+        for key in sorted(o):
+            _encode(o[key], sep + _json_str(key) + ": ", inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif t is list or t is tuple:
+        if not o:
+            put(lead + "[]")
+            return
+        inner = newline + "  "
+        put(lead + "[")
+        sep = inner
+        for item in o:
+            _encode(item, sep, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif o is True:
+        put(lead + "true")
+    elif o is False:
+        put(lead + "false")
+    elif o is None:
+        put(lead + "null")
+    else:
+        put(lead + json.dumps(o, indent=2, sort_keys=True).replace("\n", newline))
+
+
 def _emit(args, command, inputs, result, certificates=None, human_lines=()):
     if args.json:
         doc = {"command": command, "inputs": inputs, "result": result,
                "certificates": certificates if certificates is not None else []}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
     else:
         for line in human_lines:
             print(line)
@@ -345,40 +407,56 @@ global options: --json (machine output)
 """
 
 
+def _dispatch(argv) -> int:
+    if not argv or argv[0] in ("-h", "--help"):
+        print(_USAGE, end="")
+        return 0
+    head, rest = argv[0], argv[1:]
+    if head == "validate":
+        return _cmd_validate(rest)
+    if head == "heaps":
+        if rest and rest[0] == "enumerate":
+            return _cmd_heaps_enumerate(rest[1:])
+        raise InputError("usage: freeroots heaps enumerate ...")
+    if head == "basis":
+        if rest and rest[0] in ("lyndon", "lln"):
+            return _cmd_basis(rest[0], rest[1:])
+        raise InputError("usage: freeroots basis lyndon|lln ...")
+    if head == "mult":
+        if rest and rest[0] == "table":
+            return _cmd_mult_table(rest[1:])
+        return _cmd_mult(rest)
+    if head == "chromatic":
+        return _cmd_chromatic(rest)
+    if head == "verify":
+        if rest and rest[0] in ("pbw", "cartier-foata", "triangular", "all"):
+            return _cmd_verify(rest[0], rest[1:])
+        raise InputError("usage: freeroots verify pbw|cartier-foata|triangular|all ...")
+    raise InputError(f"unknown command {head!r}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if not argv or argv[0] in ("-h", "--help"):
-            print(_USAGE, end="")
-            return 0
-        head, rest = argv[0], argv[1:]
-        if head == "validate":
-            return _cmd_validate(rest)
-        if head == "heaps":
-            if rest and rest[0] == "enumerate":
-                return _cmd_heaps_enumerate(rest[1:])
-            raise InputError("usage: freeroots heaps enumerate ...")
-        if head == "basis":
-            if rest and rest[0] in ("lyndon", "lln"):
-                return _cmd_basis(rest[0], rest[1:])
-            raise InputError("usage: freeroots basis lyndon|lln ...")
-        if head == "mult":
-            if rest and rest[0] == "table":
-                return _cmd_mult_table(rest[1:])
-            return _cmd_mult(rest)
-        if head == "chromatic":
-            return _cmd_chromatic(rest)
-        if head == "verify":
-            if rest and rest[0] in ("pbw", "cartier-foata", "triangular", "all"):
-                return _cmd_verify(rest[0], rest[1:])
-            raise InputError("usage: freeroots verify pbw|cartier-foata|triangular|all ...")
-        raise InputError(f"unknown command {head!r}")
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout is gone (``freeroots ... | head``).  Point
+        # stdout at devnull so that the interpreter's final flush of what
+        # is still buffered stays quiet; exit 1, Python's code for EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
+import enum
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freeroots.cli import main
+from freeroots.cli import _dumps, main
 from conftest import TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS
 
 
@@ -276,3 +281,89 @@ def test_json_round_trip(tree6_file, capsys):
     from freeroots.chromatic import RationalPoly
     poly = RationalPoly.from_json(doc["result"]["coefficients"])
     assert poly.to_json() == doc["result"]["coefficients"]
+
+
+# ---------------------------------------------------------------------------
+# The JSON emitter against the standard library, and a closed output pipe.
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def stock(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_ODD_CHARS = st.sampled_from(['"', "\\", "/", "\x00", "\n", "\t", "\x1f", "\x7f",
+                              "\x80", "\xe9", "\u2028", "\ufeff", "\ud800",
+                              "\udfff", "\U0001f600"])
+_TEXT = st.text(st.characters(exclude_categories=()) | _ODD_CHARS, max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10 ** 40, max_value=-2 ** 63) | _TEXT)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_TREES)
+def test_dumps_matches_json_dumps(doc):
+    nested = {"result": doc, "inputs": [doc, {}]}
+    assert _dumps(doc) == stock(doc)
+    assert _dumps(nested) == stock(nested)
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [[], {}, [[]], [{}], {"b": []}, ()]},
+    {"x": 1.5, "y": [0.1, -2e300, float("inf"), float("nan")], "z": {"w": [[1e-7]]}},
+    {"colour": _Colour.RED, "colours": [_Colour.RED, {"c": _Colour.RED}]},
+    {"name": _Name("n\u00e9"), "names": [_Name("m")]},
+    {"by_int": {10: "ten", 2: "two", -1: [None]}, "nested": [{True: 1, False: 2}]},
+    {"by_float": [{1.5: "x", 0.25: {"y": [1]}}]},
+])
+def test_dumps_falls_back_like_json_dumps(doc):
+    assert _dumps(doc) == stock(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [{1: "x", "b": "y"}]},
+    {"a": {(1, 2): "tuple key"}},
+    {"a": [1, {"s": {3, 4}}]},
+])
+def test_dumps_raises_like_json_dumps(doc):
+    with pytest.raises(TypeError) as want:
+        stock(doc)
+    with pytest.raises(TypeError) as got:
+        _dumps(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "sample_graphs/path6.json"],
+    ["heaps", "enumerate", "--graph", "sample_graphs/path6.json",
+     "--weight", "1,2,2,1,1,0", "--json"],
+])
+def test_closed_output_pipe_exits_quietly(argv):
+    # Buffered stdout: the short output fails at the final flush, the long
+    # one (50 kB) inside print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "freeroots.cli", *argv], cwd=ROOT,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
