@@ -128,30 +128,23 @@ class Supergraph:
         order = tuple(self.index(v) for v in order)
         if sorted(order) != list(range(self.n)):
             raise InputError(f"not a permutation of the vertices: {order}")
-        pos = {old: new for new, old in enumerate(order)}
-        return Supergraph(
-            tuple(self.names[o] for o in order),
-            tuple((pos[i], pos[j]) for i, j in self.edges),
-            tuple(pos[i] for i in self.psi),
-            tuple(pos[i] for i in self.real),
-            tuple(pos[i] for i in self.psi0),
-        )
+        return self._relabel(order)
 
     def is_plain(self) -> bool:
         return not (self.psi or self.real or self.psi0)
 
     def induced(self, vertices) -> "Supergraph":
         """Induced sub-supergraph on the given vertices, order preserved."""
-        keep = sorted(self.index(v) for v in vertices)
+        return self._relabel(sorted(self.index(v) for v in vertices))
+
+    def _relabel(self, keep) -> "Supergraph":
+        """The sub-supergraph on the old indices ``keep``, in that order."""
         pos = {old: new for new, old in enumerate(keep)}
-        kset = set(keep)
         return Supergraph(
             tuple(self.names[o] for o in keep),
-            tuple((pos[i], pos[j]) for i, j in self.edges
-                  if i in kset and j in kset),
-            tuple(pos[i] for i in self.psi if i in kset),
-            tuple(pos[i] for i in self.real if i in kset),
-            tuple(pos[i] for i in self.psi0 if i in kset),
+            tuple((pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos),
+            *(tuple(pos[i] for i in vs if i in pos)
+              for vs in (self.psi, self.real, self.psi0)),
         )
 
 

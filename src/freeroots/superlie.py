@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight, _base_first_order
@@ -239,69 +240,54 @@ def expand_monomial(m: LieMonomial, graph: Supergraph) -> HeapPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (fraction-free rank; rational solve).
+# Exact linear algebra: one fraction-free reduction to distinct leading
+# columns gives both the rank certificate and the rational solve.
+
+def _echelon(rows) -> dict:
+    """The rows reduced to distinct leading columns, keyed by that column.
+
+    Each row in turn is replaced by ``a*row - b*kept`` while a kept row
+    leads in the same column, until it leads in a new column or vanishes.
+    The kept rows span the row space of the input, so their leading columns
+    are the pivot columns of every echelon form of it; rows that already
+    lead in distinct columns (triangular expansions) cost no arithmetic.
+    """
+    kept = {}
+    for row in rows:
+        while (lead := next(compress(count(), row), None)) in kept:
+            other = kept[lead]
+            a, b = other[lead], row[lead]
+            row = [a * x - b * y for x, y in zip(row, other)]
+        if lead is not None:
+            kept[lead] = row
+    return kept
+
 
 def integer_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """Rank of an integer matrix by Bareiss elimination; also pivot columns."""
-    if not rows:
-        return 0, []
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-    return r, pivots
+    """Rank of an integer matrix by fraction-free elimination; also pivot columns."""
+    kept = _echelon(rows)
+    return len(kept), sorted(kept)
 
 
 def solve_exact(columns: list[list], target: list) -> list[Fraction]:
     """Coefficients c with sum c_j * columns[j] = target, or raise.
 
-    Gaussian elimination over exact rationals (integer entries are fine;
-    the coefficients are fractions); raises ConsistencyError if
-    the system is unsolvable and InputError if the solution is not unique.
+    Fraction-free elimination of the augmented system, then back
+    substitution over exact rationals (integer entries are fine; the
+    coefficients are fractions); raises ConsistencyError if the system is
+    unsolvable and InputError if the solution is not unique.
     """
     ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            raise ConsistencyError("inconsistent linear system")
-    if len(pivots) < ncols:
+    kept = _echelon([[col[i] for col in columns] + [t] for i, t in enumerate(target)])
+    if ncols in kept:
+        raise ConsistencyError("inconsistent linear system")
+    if len(kept) < ncols:
         raise InputError("solution is not unique (rank-deficient basis)")
     out = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        out[c] = aug[row][ncols]
+    for c in reversed(range(ncols)):
+        row = kept[c]
+        rest = row[ncols] - sum(row[j] * out[j] for j in range(c + 1, ncols))
+        out[c] = Fraction(rest) / row[c]
     return out
 
 
@@ -504,9 +490,11 @@ def lambda_equals_e(heap: Heap) -> bool:
 def span_membership(graph: Supergraph, letters, basis: GradedBasis) -> list[Fraction]:
     """Exact coordinates of the left-normed word in a rank-certified basis."""
     monomial = left_normed(graph.names[graph.index(v)] for v in letters)
-    if monomial.weight(basis.graph) != tuple(basis.weight):
+    k = monomial.weight(basis.graph)
+    if k != tuple(basis.weight):
         raise InputError(
-            f"word weight {monomial.weight(graph)} does not match basis weight")
+            f"word weight {k} does not match basis weight {tuple(basis.weight)} "
+            f"over vertices {', '.join(basis.graph.names)}")
     polys = [e.expansion for e in basis.elements]
     polys.append(expand_monomial(monomial, basis.graph))
     *columns, target = _dense_rows(basis.graph, basis.weight, polys)[1]

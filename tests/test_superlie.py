@@ -1,8 +1,10 @@
 import itertools
+import os
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, ConsistencyError, Supergraph
 from freeroots.heaps import (heap_from_word, single, superpose, sort_key,
@@ -11,13 +13,14 @@ from freeroots.heaps import (heap_from_word, single, superpose, sort_key,
                              classify, heaps_up_to, is_super_letter)
 from freeroots import supergraph, superlie
 from freeroots.supergraph import _base_first_order
-from freeroots.supergraph import is_connected_support, support, weights_up_to
+from freeroots.supergraph import is_connected_support, support, weights_up_to, load_graph
 from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, expand_monomial,
                                 leaf, bracket, left_normed, lambda_monomial,
                                 _expand_lambda, lyndon_heap_basis,
                                 super_letter_alphabet, lln_basis,
                                 lambda_equals_e, span_membership,
                                 integer_rank, solve_exact, signed_superpose)
+from test_golden import BASIS_WEIGHTS, ROOT
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +549,15 @@ def test_span_membership_refuses_wrong_weight_before_expanding(path6, monkeypatc
         span_membership(path6, list("45635"), basis)
 
 
+def test_span_membership_names_both_weights_in_the_basis_order(path6):
+    # the LLN basis lives in the order that makes its base least
+    basis = lln_basis(path6, (0, 0, 2, 1, 2, 1), "5")
+    with pytest.raises(InputError) as err:
+        span_membership(path6, list("4563"), basis)
+    assert str(err.value) == ("word weight (1, 0, 0, 1, 1, 1) does not match basis "
+                              "weight (2, 0, 0, 2, 1, 1) over vertices 5, 1, 2, 3, 4, 6")
+
+
 def test_bracket_closure_below_larger_factor(edge36):
     """[L(small), L(large)] lies in the span of basis elements below large."""
     weights = [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -568,7 +580,71 @@ def test_bracket_closure_below_larger_factor(edge36):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra.
+# Exact linear algebra, against a dense Bareiss rank and a Gauss-Jordan solve.
+
+def bareiss_rank(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """Rank of an integer matrix by Bareiss elimination; also pivot columns."""
+    if not rows:
+        return 0, []
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+    return r, pivots
+
+
+def gauss_jordan_solve(columns: list[list], target: list) -> list[Fraction]:
+    """Coefficients c with sum c_j * columns[j] = target, or raise.
+
+    Gaussian elimination over exact rationals (integer entries are fine;
+    the coefficients are fractions); raises ConsistencyError if
+    the system is unsolvable and InputError if the solution is not unique.
+    """
+    ncols = len(columns)
+    nrows = len(target)
+    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = Fraction(1) / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols]:
+            raise ConsistencyError("inconsistent linear system")
+    if len(pivots) < ncols:
+        raise InputError("solution is not unique (rank-deficient basis)")
+    out = [Fraction(0)] * ncols
+    for row, c in enumerate(pivots):
+        out[c] = aug[row][ncols]
+    return out
+
 
 def test_integer_rank():
     assert integer_rank([[1, 2], [2, 4]])[0] == 1
@@ -588,6 +664,103 @@ def test_solve_exact_unique():
 def test_solve_exact_inconsistent():
     with pytest.raises(ConsistencyError):
         solve_exact([[Fraction(1), Fraction(2)]], [Fraction(1), Fraction(3)])
+
+
+def test_solve_exact_rank_deficient():
+    with pytest.raises(InputError):
+        solve_exact([[1, 2], [2, 4]], [3, 6])
+
+
+_SMALL = st.integers(-3, 3)
+_FRACTIONS = st.builds(Fraction, _SMALL, st.integers(1, 3))
+
+
+@st.composite
+def _integer_matrices(draw):
+    """At most 7 x 7 over [-3, 3], with zero, duplicate and dependent rows forced in."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_SMALL, min_size=ncols, max_size=ncols), max_size=7))
+    for _ in range(draw(st.integers(0, 7 - len(rows)))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "dependent")))
+        if kind == "zero" or not rows:
+            row = [0] * ncols
+        elif kind == "duplicate":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(_SMALL), draw(_SMALL)
+            row = [x * p + y * q for p, q in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_integer_matrices())
+def test_integer_rank_matches_bareiss(rows):
+    before = [list(r) for r in rows]
+    assert integer_rank(rows) == bareiss_rank(rows)
+    assert rows == before
+
+
+@st.composite
+def _fraction_systems(draw):
+    """Unique, inconsistent and rank-deficient systems over small fractions."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    columns = [draw(st.lists(_FRACTIONS, min_size=nrows, max_size=nrows))
+               for _ in range(ncols)]
+    kind = draw(st.sampled_from(("solvable", "any", "inconsistent", "dependent")))
+    if kind == "dependent" and columns:
+        a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+        x = draw(_FRACTIONS)
+        columns.insert(draw(st.integers(0, ncols)),
+                       [p + x * q for p, q in zip(a, b)])
+    if kind == "any":
+        return columns, draw(st.lists(_FRACTIONS, min_size=nrows, max_size=nrows))
+    coeffs = draw(st.lists(_FRACTIONS, min_size=len(columns), max_size=len(columns)))
+    target = [sum((c * col[i] for c, col in zip(coeffs, columns)), Fraction(0))
+              for i in range(nrows)]
+    if kind == "inconsistent":
+        # repeat one equation with a different right-hand side
+        i = draw(st.integers(0, nrows))
+        row = [col[i] if i < nrows else Fraction(0) for col in columns]
+        for col, x in zip(columns, row):
+            col.append(x)
+        target.append((target[i] if i < nrows else Fraction(0)) + draw(_FRACTIONS.filter(bool)))
+    return columns, target
+
+
+def _outcome(solve, columns, target):
+    try:
+        return solve(columns, target)
+    except (InputError, ConsistencyError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_fraction_systems())
+def test_solve_exact_matches_gauss_jordan(system):
+    columns, target = system
+    out = _outcome(solve_exact, columns, target)
+    assert out == _outcome(gauss_jordan_solve, columns, target)
+    if isinstance(out, list):
+        assert all(type(c) is Fraction for c in out)
+
+
+@pytest.mark.parametrize("path, weight", [
+    (path, weight) for path, weights in BASIS_WEIGHTS.items() for weight in weights])
+def test_certificates_pivot_on_the_least_heaps(path, weight):
+    """By triangularity each expansion leads with its own least heap."""
+    graph, _ = load_graph(os.path.join(ROOT, path))
+    k = tuple(map(int, weight.split(",")))
+    basis = lyndon_heap_basis(graph, k)
+    column = {h: i for i, h in enumerate(enumerate_heaps(graph, k))}
+    assert basis.certificate.pivot_columns == tuple(
+        sorted(column[e.heap] for e in basis.elements))
+    for base in support(k):
+        basis = lln_basis(graph, k, base)
+        column = {h: i for i, h in enumerate(enumerate_heaps(basis.graph, basis.weight))}
+        assert basis.certificate.pivot_columns == tuple(
+            sorted(column[e.expansion.leading()[0]] for e in basis.elements))
 
 
 # ---------------------------------------------------------------------------
