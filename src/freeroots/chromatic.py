@@ -106,7 +106,7 @@ class RationalPoly:
     def from_json(cls, data):
         return cls(Fraction(s) for s in data)
 
-    def pretty(self, var: str = "q") -> str:
+    def pretty(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -119,13 +119,16 @@ class RationalPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+                body = f"{head}q" + (f"^{i}" if i > 1 else "")
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
-    def factored(self, var: str = "q") -> str | None:
-        """scale * prod (q - r) when all roots are small integers, else None."""
+    def factored(self) -> str | None:
+        """scale * prod (q - r) when all roots are small integers, else None.
+
+        A nonzero constant is its own value.
+        """
         if not self:
             return None
         counts = {}
@@ -137,9 +140,11 @@ class RationalPoly:
         if work.degree() != 0:
             return None
         scale = work.coeffs[0]
+        if not counts:
+            return str(scale)
         pieces = []
         for r in sorted(counts):
-            base = var if r == 0 else f"({var}-{r})"
+            base = "q" if r == 0 else f"(q-{r})"
             pieces.append(base + (f"^{counts[r]}" if counts[r] > 1 else ""))
         head = "" if scale == 1 else f"{scale} * "
         return head + "".join(pieces)

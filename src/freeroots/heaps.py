@@ -18,10 +18,10 @@ letter.  Conjugacy classes and decompositions stay public, and square
 roots are searched for in the test suite, as the definitions the word
 rules are checked against.
 
-A heap lives on the adjacency; psi only gives its letters a parity.  So each
-heap is interned once, over the plain twin of its graph, where standard
-words, enumeration and Lyndon structure are computed once for every psi; a
-heap over a graph with psi, real or psi0 vertices is an uninterned view.
+A heap lives on the adjacency; psi only gives its letters a parity.  Every
+heap is interned in one pool per graph, and a heap over a graph with psi,
+real or psi0 vertices shares the heap of its plain twin, where standard
+words, enumeration and Lyndon structure are computed once for every psi.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from .supergraph import Supergraph, plain, check_weight, support, weight_gcd, \
 class Heap:
     """Canonical heap of pieces; a piece is a ``(position, level)`` pair.
 
-    Instances are immutable, hashable and equal when their graph is the
-    same object (graphs are canonical) and their pieces are equal;
-    ``pieces`` is sorted by ``(position, level)``.  ``_shared`` is the heap
-    interned over the plain twin: the heap itself over a plain graph, else
-    the heap this one views.  Use :func:`heap_from_word` or
-    :func:`heap_from_pieces` to construct.
+    Instances are interned, immutable, hashable and equal when their graph
+    is the same object (graphs are canonical) and their pieces are equal, so
+    a heap kept across :func:`freeroots.clear_caches` equals the one built
+    after it; ``pieces`` is sorted by ``(position, level)``.  ``_shared`` is
+    the heap over the plain twin: the heap itself over a plain graph.  Use
+    :func:`heap_from_word` or :func:`heap_from_pieces` to construct.
     """
 
     __slots__ = ("graph", "pieces", "_shared", "_hash", "_st")
@@ -94,38 +94,39 @@ class Heap:
 _REGISTRY: dict[Supergraph, dict[tuple, Heap]] = {}
 
 
-def _intern(graph: Supergraph, pieces) -> Heap:
-    """The heap of these pieces over ``graph``, pooled under its plain twin."""
-    base = plain(graph)
-    pieces = tuple(sorted(pieces))
-    pool = _REGISTRY.get(base)
+def _intern(graph: Supergraph, pieces: tuple) -> Heap:
+    """The pooled heap of these sorted pieces over ``graph``."""
+    pool = _REGISTRY.get(graph)
     if pool is None:
-        pool = _REGISTRY[base] = {}
+        pool = _REGISTRY.setdefault(graph, {})
     heap = pool.get(pieces)
-    if heap is None:
-        heap = pool[pieces] = Heap(base, pieces)
-    return _view(graph, heap)
+    if heap is None:  # setdefault keeps one heap when two threads race
+        shared = None if graph.is_plain() else _intern(plain(graph), pieces)
+        heap = pool.setdefault(pieces, Heap(graph, pieces, shared))
+    return heap
 
 
-def _view(graph: Supergraph, heap: Heap) -> Heap:
-    """The shared ``heap`` seen over ``graph``; itself when ``graph`` is plain."""
-    return heap if graph.is_plain() else Heap(graph, heap.pieces, heap)
+def _drop(graph: Supergraph, pieces, positions) -> Heap:
+    """Drop each position in turn onto the pile ``pieces``, as low as it fits."""
+    tops = [-1] * graph.n
+    for p, lvl in pieces:
+        if lvl > tops[p]:
+            tops[p] = lvl
+    pieces = list(pieces)
+    zn = graph.zeta_neighbors
+    for p in positions:
+        level = 0
+        for j in zn[p]:
+            if tops[j] >= level:
+                level = tops[j] + 1
+        tops[p] = level
+        pieces.append((p, level))
+    return _intern(graph, tuple(sorted(pieces)))
 
 
 def heap_from_word(graph: Supergraph, letters) -> Heap:
     """Drop the letters in order; commuting words give the same heap."""
-    tops = [-1] * graph.n
-    zn = graph.zeta_neighbors
-    pieces = []
-    for v in letters:
-        pos = graph.index(v)
-        level = 0
-        for j in zn[pos]:
-            if tops[j] >= level:
-                level = tops[j] + 1
-        tops[pos] = level
-        pieces.append((pos, level))
-    return _intern(graph, pieces)
+    return _drop(graph, (), map(graph.index, letters))
 
 
 def _transport(heap: Heap, graph: Supergraph) -> Heap:
@@ -149,21 +150,8 @@ def single(graph: Supergraph, v) -> Heap:
 
 @functools.lru_cache(maxsize=1 << 18)
 def _superpose_plain(left: Heap, right: Heap) -> Heap:
-    graph = left.graph
-    tops = [-1] * graph.n
-    pieces = list(left.pieces)
-    for p, lvl in pieces:
-        if lvl > tops[p]:
-            tops[p] = lvl
-    zn = graph.zeta_neighbors
-    for p, _ in sorted(right.pieces, key=lambda pl: (pl[1], pl[0])):
-        level = 0
-        for j in zn[p]:
-            if tops[j] >= level:
-                level = tops[j] + 1
-        tops[p] = level
-        pieces.append((p, level))
-    return _intern(graph, pieces)
+    ordered = sorted(right.pieces, key=lambda pl: (pl[1], pl[0]))
+    return _drop(left.graph, left.pieces, (p for p, _ in ordered))
 
 
 def superpose(left: Heap, right: Heap) -> Heap:
@@ -171,7 +159,7 @@ def superpose(left: Heap, right: Heap) -> Heap:
     graph = left.graph
     if graph is not right.graph:
         raise InputError("superposition needs a common supergraph")
-    return _view(graph, _superpose_plain(left._shared, right._shared))
+    return _intern(graph, _superpose_plain(left._shared, right._shared).pieces)
 
 
 def standard_word(heap: Heap) -> tuple[int, ...]:
@@ -237,7 +225,7 @@ def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
 def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All heaps of weight exactly ``k``, ascending in the heap order."""
     k = check_weight(graph, k)
-    return tuple(_view(graph, h) for h in _enumerate_plain(plain(graph), k))
+    return tuple(_intern(graph, h.pieces) for h in _enumerate_plain(plain(graph), k))
 
 
 def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
@@ -386,7 +374,7 @@ def _lyndon_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
 def lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All Lyndon heaps of weight ``k``, ascending."""
     k = check_weight(graph, k)
-    return tuple(_view(graph, h) for h in _lyndon_plain(plain(graph), k))
+    return tuple(_intern(graph, h.pieces) for h in _lyndon_plain(plain(graph), k))
 
 
 def super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
@@ -413,9 +401,6 @@ class HeapClasses:
     def __init__(self, **flags):
         for name in self.__slots__:
             setattr(self, name, flags[name])
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self):
         on = [name for name in self.__slots__ if getattr(self, name)]

@@ -216,7 +216,7 @@ def _series_mul(a: dict, b: dict, cap) -> dict:
 
 
 def _heap_counts(graph: Supergraph, cap) -> dict:
-    return {w: len(enumerate_heaps(graph, w)) for w in weights_up_to(cap)}
+    return {w: len(enumerate_heaps(plain(graph), w)) for w in weights_up_to(cap)}
 
 
 def verify_pbw(graph: Supergraph, cap) -> SeriesReport:

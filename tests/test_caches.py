@@ -2,6 +2,9 @@ from freeroots import (clear_caches, supergraph, heaps, superlie, chromatic,
                        multiplicity, free_roots_up_to, lyndon_heap_basis,
                        lln_basis, super_lyndon_heaps, k_chromatic_join,
                        k_chromatic_bond, mult_free_root)
+from freeroots.heaps import enumerate_heaps, heap_from_word
+from freeroots.superlie import expand_monomial, left_normed
+from freeroots.supergraph import plain
 
 MODULES = (supergraph, heaps, superlie, chromatic, multiplicity)
 
@@ -44,3 +47,22 @@ def test_clear_caches_empties_every_cache_and_the_registry(path6):
             if f.cache_info().currsize} == {}
     assert heaps._REGISTRY == {}
     assert snapshot(path6) == before
+
+
+def test_heaps_kept_across_clear_caches_equal_the_rebuilt_ones(path6):
+    """Heaps compare by graph and pieces, so old values still read new heaps."""
+    for graph in (path6, plain(path6)):
+        k = (0, 0, 2, 1, 2, 1)
+        old_heaps = enumerate_heaps(graph, k)
+        old_poly = expand_monomial(left_normed("345653"), graph)
+        assert old_poly.terms
+        clear_caches()
+        assert heaps._REGISTRY == {}
+        new_heaps = enumerate_heaps(graph, k)
+        assert new_heaps == old_heaps
+        for old, new in zip(old_heaps, new_heaps):
+            assert old is not new and old == new and hash(old) == hash(new)
+        for h, c in old_poly.terms.items():
+            new = heap_from_word(graph, h.word())
+            assert new is not h and old_poly.coefficient(new) == c != 0
+        assert expand_monomial(left_normed("345653"), graph).terms == old_poly.terms

@@ -71,6 +71,14 @@ def test_factored_display():
     assert RationalPoly((1, 1)).factored() is None  # root at -1
 
 
+def test_factored_nonzero_constant_is_its_value():
+    assert RationalPoly.one().factored() == "1"
+    assert RationalPoly((2,)).factored() == "2"
+    assert RationalPoly((-1,)).factored() == "-1"
+    assert RationalPoly((Fraction(1, 2),)).factored() == "1/2"
+    assert RationalPoly(()).factored() is None
+
+
 # ---------------------------------------------------------------------------
 # Classical chromatic polynomials.
 

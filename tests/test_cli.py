@@ -195,6 +195,15 @@ def test_chromatic_factored_display(tree6_file, capsys):
     assert "1/36 * q(q-1)(q-2)(q-3)(q-4)(q-5)" in out
 
 
+def test_chromatic_zero_weight_factors_as_one(path6_file, capsys):
+    for method in ("direct", "join", "bond"):
+        code, doc = run_json(capsys, ["chromatic", "--graph", path6_file,
+                                      "--weight", "0,0,0,0,0,0",
+                                      "--method", method])
+        assert code == 0
+        assert doc["result"]["pretty"] == doc["result"]["factored"] == "1"
+
+
 def test_verify_pbw_and_cartier(tree6_file, capsys):
     assert main(["verify", "pbw", "--graph", tree6_file,
                  "--cap", "1,1,2,1,1,2"]) == 0

@@ -2,10 +2,12 @@ import functools
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 
-from freeroots import InputError, Supergraph
+from freeroots import InputError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              single, superpose, standard_word, compare,
                              sort_key, enumerate_heaps, heaps_up_to, classify,
@@ -549,7 +551,7 @@ def test_multicharacter_names_dot_join():
 
 
 # ---------------------------------------------------------------------------
-# One interned heap per adjacency; heaps over annotated graphs are views.
+# One interned heap per graph; heaps over annotated graphs share the plain twin's.
 
 def with_psi(graph, psi):
     return Supergraph(graph.names, graph.edges, psi=psi)
@@ -568,14 +570,51 @@ def test_enumerated_views_share_the_plain_twins_heaps(p4):
                     assert h.graph == g and h.pieces == t.pieces
 
 
-def test_registry_pools_plain_graphs_only(path6, tree6):
+def test_annotated_pools_share_the_plain_twins_heaps(path6, tree6):
     for graph, k in ((path6, (0, 0, 2, 1, 2, 1)), (path6, (0, 1, 2, 1, 1, 0)),
                      (tree6, (0, 0, 3, 0, 0, 3)), (tree6, (0, 1, 2, 1, 1, 0))):
         lyndon_heap_basis(graph, k)
         for base in support(k):
             lln_basis(graph, k, base)
-    assert heaps._REGISTRY
-    assert all(g.is_plain() for g in heaps._REGISTRY)
+    annotated = [g for g in heaps._REGISTRY if not g.is_plain()]
+    assert path6 in annotated and tree6 in annotated
+    for g, pool in heaps._REGISTRY.items():
+        twins = heaps._REGISTRY[plain(g)]
+        for pieces, h in pool.items():
+            assert h.graph is g and h.pieces == pieces
+            assert h._shared is twins[pieces] and h._shared._shared is h._shared
+
+
+def test_threads_building_one_heap_get_one_object(path6):
+    """Eight threads build the same new heaps over an annotated graph at once.
+
+    Every thread must get the one pooled object for each word; a lost race
+    in a pool would hand two threads distinct equal heaps.
+    """
+    words = ["".join(w) for w in itertools.product("123456", repeat=5)][:3000]
+    barrier = threading.Barrier(8, timeout=60)
+    results = [[] for _ in range(8)]
+
+    def build(out):
+        barrier.wait()
+        out.extend(heap_from_word(path6, word) for word in words)
+
+    clear_caches()
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(words) for out in results)
+    for r, word in enumerate(words):
+        assert len({id(out[r]) for out in results}) == 1, word
+        assert results[0][r]._shared is heap_from_word(plain(path6), word)
 
 
 def test_empty_view_shares_the_empty_heap(path6, p4_odd):
@@ -588,11 +627,11 @@ def test_views_compare_by_graph_and_pieces(p4):
     g, other = with_psi(p4, [1]), with_psi(p4, [2])
     a = heap_from_word(g, "1232")
     b = superpose(heap_from_word(g, "12"), heap_from_word(g, "32"))
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a._shared is b._shared
-    assert standard_word(a) == standard_word(b) == standard_word(a._shared)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert [id(h) for h in enumerate_heaps(g, a.weight()) if h == a] == [id(a)]
     twin = heap_from_word(plain(g), "1232")
     assert twin is a._shared and a != twin and twin != a
+    assert standard_word(a) == standard_word(twin)
     c = heap_from_word(other, "1232")
     assert c._shared is twin and a != c and len({a, b, c, twin}) == 3
 
