@@ -67,6 +67,10 @@ def _cases():
     for which in ("pbw", "cartier-foata"):
         out.append(["verify", which, "--graph", "sample_graphs/tree6.json",
                     "--cap", "1,1,2,1,1,2", "--json"])
+    # dispatch: usage, group usage errors, unknown command, rejected --seed
+    out += [[], ["--help"], ["heaps"], ["basis", "frob"], ["verify"], ["frobnicate"],
+            ["mult", "--graph", "sample_graphs/path6.json", "--weight", "0,0,2,1,2,1",
+             "--seed", "7"]]
     return out
 
 
