@@ -14,9 +14,8 @@ from .supergraph import (Supergraph, BkmSupermatrix, validate_supermatrix,
                          graph_from_document, load_graph, parse_weight,
                          ht, support, weight_parity)
 from .heaps import (Heap, heap_from_word, heap_from_pieces, superpose,
-                    standard_word, compare, enumerate_heaps, heaps_up_to,
-                    classify, standard_factorization,
-                    enumerate_super_lyndon_heaps, lyndon_heaps,
+                    standard_word, enumerate_heaps, heaps_up_to,
+                    classify, standard_factorization, lyndon_heaps,
                     super_lyndon_heaps, conjugacy_class, decompositions)
 from .superlie import (LieMonomial, leaf, bracket, left_normed,
                        HeapPolynomial, bracket_expand, expand_monomial,

@@ -6,6 +6,10 @@ run the verification suites.  Output is deterministic; ``--json`` switches
 to a machine schema ``{command, inputs, result, certificates}``.  Exit
 codes: 0 success, 1 bad input or a closed output pipe, 2 failed internal
 consistency check.
+
+``_COMMANDS`` is the one place a command is declared: its words, usage
+line, handler and options.  The usage text, the dispatch and each
+command's parser are all derived from it.
 """
 
 from __future__ import annotations
@@ -28,18 +32,36 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
-    def parse_args(self, args=None, namespace=None):
-        args = super().parse_args(args, namespace)
-        if args.seed is not None:
-            raise InputError("--seed is not supported: all computations are deterministic")
-        return args
 
+def _parse(words, argv, options):
+    """Parse one command's arguments and load what they name.
 
-def _base_parser(prog: str) -> _Parser:
-    p = _Parser(prog=prog, add_help=True)
+    ``options`` holds a positional name, a required ``--flag`` or a
+    ``(--flag, choices, default)`` triple per argument.  ``--graph`` is
+    loaded into ``supergraph`` (the path stays in ``graph``), and
+    ``--weight`` and ``--cap`` are read as weights of that graph.
+    """
+    command = " ".join(words)
+    p = _Parser(prog="freeroots " + command)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", help=argparse.SUPPRESS)
-    return p
+    for opt in options:
+        if isinstance(opt, tuple):
+            p.add_argument(opt[0], choices=opt[1], default=opt[2])
+        elif opt.startswith("--"):
+            p.add_argument(opt, required=True)
+        else:
+            p.add_argument(opt)
+    args = p.parse_args(argv)
+    if args.seed is not None:
+        raise InputError("--seed is not supported: all computations are deterministic")
+    args.command = command
+    if "--graph" in options:
+        args.supergraph, _ = sg.load_graph(args.graph)
+        for name in ("weight", "cap"):
+            if "--" + name in options:
+                setattr(args, name, sg.parse_weight(args.supergraph, getattr(args, name)))
+    return args
 
 
 def _dumps(doc) -> str:
@@ -101,10 +123,10 @@ def _encode(o, lead, newline, put):
         put(lead + json.dumps(o, indent=2, sort_keys=True).replace("\n", newline))
 
 
-def _emit(args, command, inputs, result, certificates=None, human_lines=()):
+def _emit(args, inputs, result, human_lines, certificates=()):
     if args.json:
-        doc = {"command": command, "inputs": inputs, "result": result,
-               "certificates": certificates if certificates is not None else []}
+        doc = {"command": args.command, "inputs": inputs, "result": result,
+               "certificates": certificates}
         print(_dumps(doc))
     else:
         for line in human_lines:
@@ -113,17 +135,14 @@ def _emit(args, command, inputs, result, certificates=None, human_lines=()):
 
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(argv):
-    p = _base_parser("freeroots validate")
-    p.add_argument("file")
-    args = p.parse_args(argv)
+def _cmd_validate(args):
     doc = sg.load_document(args.file)
     matrix = sg.matrix_from_document(doc)
     if matrix is None:
         graph, _ = sg.graph_from_document(doc)
         result = {"kind": "graph", "ok": True, "violations": []}
         lines = [f"graph with {graph.n} vertices, {len(graph.edges)} edges: ok"]
-        _emit(args, "validate", {"file": args.file}, result, human_lines=lines)
+        _emit(args, {"file": args.file}, result, lines)
         return 0
     violations = sg.validate_supermatrix(matrix)
     d = sg.symmetrizer(matrix)
@@ -141,78 +160,49 @@ def _cmd_validate(argv):
             f"{graph.names[i]}-{graph.names[j]}" for i, j in sorted(graph.edges)))
         lines.append("real: {" + ",".join(result["real"]) + "}"
                      + "  psi0: {" + ",".join(result["psi0"]) + "}")
-    _emit(args, "validate", {"file": args.file}, result, human_lines=lines)
+    _emit(args, {"file": args.file}, result, lines)
     return 0 if result["ok"] else 1
 
 
-_CLASS_FILTERS = ("heap", "pyramid", "super-letter", "lyndon", "super-lyndon")
-
-
-def _cmd_heaps_enumerate(argv):
-    p = _base_parser("freeroots heaps enumerate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--class", dest="cls", choices=_CLASS_FILTERS, default="heap")
-    args = p.parse_args(argv)
-    graph, _ = sg.load_graph(args.graph)
-    k = sg.parse_weight(graph, args.weight)
+def _cmd_heaps_enumerate(args):
+    graph, k, cls = args.supergraph, args.weight, getattr(args, "class")
     all_heaps = hp.enumerate_heaps(graph, k)
-    if args.cls == "heap":
+    if cls == "heap":
         chosen = [h for h in all_heaps if h.pieces]
-    elif args.cls == "lyndon":
+    elif cls == "lyndon":
         chosen = list(hp.lyndon_heaps(graph, k))
-    elif args.cls == "super-lyndon":
+    elif cls == "super-lyndon":
         chosen = list(hp.super_lyndon_heaps(graph, k))
-    elif args.cls == "super-letter":
+    elif cls == "super-letter":
         chosen = [h for h in all_heaps if hp.is_super_letter(h)]
     else:
         chosen = [h for h in all_heaps if hp.is_pyramid(h)]
-    result = {"weight": list(k), "class": args.cls, "count": len(chosen),
+    result = {"weight": list(k), "class": cls, "count": len(chosen),
               "heaps": [{"word": h.word(), **h.to_json()} for h in chosen]}
-    lines = [f"{len(chosen)} heaps of weight {','.join(map(str, k))} [{args.cls}]"]
+    lines = [f"{len(chosen)} heaps of weight {','.join(map(str, k))} [{cls}]"]
     lines += [f"  {h.word()}" for h in chosen]
-    _emit(args, "heaps enumerate", {"graph": args.graph, "weight": list(k)},
-          result, human_lines=lines)
+    _emit(args, {"graph": args.graph, "weight": list(k)}, result, lines)
     return 0
 
 
-def _cmd_basis(kind, argv):
-    p = _base_parser(f"freeroots basis {kind}")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weight", required=True)
-    if kind == "lln":
-        p.add_argument("--base", required=True)
-    args = p.parse_args(argv)
-    graph, _ = sg.load_graph(args.graph)
-    k = sg.parse_weight(graph, args.weight)
+def _cmd_basis(args):
+    graph, k = args.supergraph, args.weight
     if not sg.is_free_weight(graph, k):
         raise InputError(f"weight {','.join(map(str, k))} is not free")
-    if kind == "lyndon":
+    inputs = {"graph": args.graph, "weight": list(k)}
+    if args.command == "basis lyndon":
         basis = sl.lyndon_heap_basis(graph, k)
     else:
         basis = sl.lln_basis(graph, k, args.base)
-    result = basis.to_json()
-    lines = [f"dimension {len(basis)} (rank {basis.certificate.rank} certified)"]
-    for e in basis.elements:
-        lines.append(f"  {e.word()}  ->  {e.monomial}")
-    inputs = {"graph": args.graph, "weight": list(k)}
-    if kind == "lln":
         inputs["base"] = args.base
-    _emit(args, f"basis {kind}", inputs, result,
-          certificates=[basis.certificate.to_json()], human_lines=lines)
+    lines = [f"dimension {len(basis)} (rank {basis.certificate.rank} certified)"]
+    lines += [f"  {e.word()}  ->  {e.monomial}" for e in basis.elements]
+    _emit(args, inputs, basis.to_json(), lines, [basis.certificate.to_json()])
     return 0
 
 
-def _cmd_mult(argv):
-    p = _base_parser("freeroots mult")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--method", choices=("recursion", "closed", "both"), default="both")
-    args = p.parse_args(argv)
-    graph, _ = sg.load_graph(args.graph)
-    k = sg.parse_weight(graph, args.weight)
-    record = mult_mod.mult_free_root(graph, k, method="both")
-    result = record.to_json()
+def _cmd_mult(args):
+    record = mult_mod.mult_free_root(args.supergraph, args.weight, method="both")
     if args.method == "recursion":
         lines = [str(record.recursion)]
     elif args.method == "closed":
@@ -221,38 +211,24 @@ def _cmd_mult(argv):
         lines = [f"mult = {record.recursion} (recursion)"]
         if not record.agree:
             lines.append(f"closed form disagrees: {record.closed_form}")
-    _emit(args, "mult", {"graph": args.graph, "weight": list(k),
-                         "method": args.method}, result, human_lines=lines)
+    _emit(args, {"graph": args.graph, "weight": list(args.weight), "method": args.method},
+          record.to_json(), lines)
     return 0
 
 
-def _cmd_mult_table(argv):
-    p = _base_parser("freeroots mult table")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cap", required=True)
-    args = p.parse_args(argv)
-    graph, _ = sg.load_graph(args.graph)
-    cap = sg.parse_weight(graph, args.cap)
-    table = mult_mod.free_roots_up_to(graph, cap)
-    result = table.to_json()
+def _cmd_mult_table(args):
+    cap = args.cap
+    table = mult_mod.free_roots_up_to(args.supergraph, cap)
     lines = [f"{len(table.entries)} free roots with weight <= {','.join(map(str, cap))}"]
-    for w in sorted(table.entries):
-        r = table.entries[w]
+    for w, r in sorted(table.entries.items()):
         mark = "" if r.agree else "   [closed form disagrees: %s]" % r.closed_form
         lines.append(f"  {','.join(map(str, w))}  mult {r.recursion}  ({r.parity}){mark}")
-    _emit(args, "mult table", {"graph": args.graph, "cap": list(cap)},
-          result, human_lines=lines)
+    _emit(args, {"graph": args.graph, "cap": list(cap)}, table.to_json(), lines)
     return 0
 
 
-def _cmd_chromatic(argv):
-    p = _base_parser("freeroots chromatic")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--method", choices=("direct", "join", "bond"), default="direct")
-    args = p.parse_args(argv)
-    graph, _ = sg.load_graph(args.graph)
-    k = sg.parse_weight(graph, args.weight)
+def _cmd_chromatic(args):
+    graph, k = args.supergraph, args.weight
     if args.method == "direct":
         poly = ch.k_chromatic_direct(graph, k)
     elif args.method == "join":
@@ -268,8 +244,8 @@ def _cmd_chromatic(argv):
     if factored:
         lines.append(f"= {factored}")
     lines.append("coefficients (ascending): " + json.dumps(poly.to_json()))
-    _emit(args, "chromatic", {"graph": args.graph, "weight": list(k),
-                              "method": args.method}, result, human_lines=lines)
+    _emit(args, {"graph": args.graph, "weight": list(k), "method": args.method},
+          result, lines)
     return 0
 
 
@@ -287,49 +263,33 @@ def _triangularity_report(graph, k):
     return checks
 
 
-def _cmd_verify(which, argv):
-    p = _base_parser(f"freeroots verify {which}")
-    p.add_argument("--graph", required=True)
-    if which == "triangular":
-        p.add_argument("--weight", required=True)
-    else:
-        p.add_argument("--cap", required=True)
-    args = p.parse_args(argv)
-    graph, _ = sg.load_graph(args.graph)
+def _cmd_verify_series(args, verify):
+    report = verify(args.supergraph, args.cap)
+    lines = [("ok: " if report.ok else "FAILED: ") + report.description]
+    _emit(args, {"graph": args.graph, "cap": list(args.cap)}, report.to_json(), lines)
+    return 0 if report.ok else 2
 
-    if which in ("pbw", "cartier-foata"):
-        cap = sg.parse_weight(graph, args.cap)
-        fn = mult_mod.verify_pbw if which == "pbw" else mult_mod.verify_cartier_foata
-        report = fn(graph, cap)
-        result = report.to_json()
-        lines = [("ok: " if report.ok else "FAILED: ") + report.description]
-        _emit(args, f"verify {which}", {"graph": args.graph, "cap": list(cap)},
-              result, human_lines=lines)
-        return 0 if report.ok else 2
 
-    if which == "triangular":
-        k = sg.parse_weight(graph, args.weight)
-        checks = _triangularity_report(graph, k)
-        ok = all(c["ok"] for c in checks)
-        result = {"weight": list(k), "checks": checks, "ok": ok}
-        lines = [f"{'ok' if ok else 'FAILED'}: {len(checks)} expansions checked"]
-        lines += [f"  {c['word']}: self {c['self_coefficient']} (expected {c['expected']})"
-                  for c in checks]
-        _emit(args, "verify triangular", {"graph": args.graph, "weight": list(k)},
-              result, human_lines=lines)
-        return 0 if ok else 2
+def _cmd_verify_triangular(args):
+    k = args.weight
+    checks = _triangularity_report(args.supergraph, k)
+    ok = all(c["ok"] for c in checks)
+    lines = [f"{'ok' if ok else 'FAILED'}: {len(checks)} expansions checked"]
+    lines += [f"  {c['word']}: self {c['self_coefficient']} (expected {c['expected']})"
+              for c in checks]
+    _emit(args, {"graph": args.graph, "weight": list(k)},
+          {"weight": list(k), "checks": checks, "ok": ok}, lines)
+    return 0 if ok else 2
 
-    # verify all
-    cap = sg.parse_weight(graph, args.cap)
-    reports, ok = run_verification_suite(graph, cap)
-    result = {"cap": list(cap), "ok": ok, "checks": reports}
-    lines = []
-    for r in reports:
-        lines.append(("ok: " if r["ok"] else "FAILED: ") + r["name"]
-                     + (f" ({r['detail']})" if r.get("detail") else ""))
+
+def _cmd_verify_all(args):
+    cap = args.cap
+    reports, ok = run_verification_suite(args.supergraph, cap)
+    lines = [("ok: " if r["ok"] else "FAILED: ") + r["name"]
+             + (f" ({r['detail']})" if r.get("detail") else "") for r in reports]
     lines.append("all checks passed" if ok else "verification FAILED")
-    _emit(args, "verify all", {"graph": args.graph, "cap": list(cap)},
-          result, human_lines=lines)
+    _emit(args, {"graph": args.graph, "cap": list(cap)},
+          {"cap": list(cap), "ok": ok, "checks": reports}, lines)
     return 0 if ok else 2
 
 
@@ -387,52 +347,66 @@ def run_verification_suite(graph, cap):
 
 # ---------------------------------------------------------------------------
 
-_USAGE = """\
-usage: freeroots <command> [options]
+# words -> (usage line, handler, options read by ``_parse``).  Handlers look
+# library functions up per call, so a wrapper set on a module sees each call.
+_COMMANDS = {
+    ("validate",): ("validate <file>", _cmd_validate, ("file",)),
+    ("heaps", "enumerate"): (
+        "heaps enumerate --graph F --weight W"
+        " [--class heap|pyramid|super-letter|lyndon|super-lyndon]",
+        _cmd_heaps_enumerate,
+        ("--graph", "--weight",
+         ("--class", ("heap", "pyramid", "super-letter", "lyndon", "super-lyndon"), "heap"))),
+    ("basis", "lyndon"): (
+        "basis lyndon    --graph F --weight W", _cmd_basis, ("--graph", "--weight")),
+    ("basis", "lln"): (
+        "basis lln       --graph F --weight W --base i", _cmd_basis,
+        ("--graph", "--weight", "--base")),
+    ("mult",): (
+        "mult            --graph F --weight W [--method recursion|closed|both]", _cmd_mult,
+        ("--graph", "--weight", ("--method", ("recursion", "closed", "both"), "both"))),
+    ("mult", "table"): (
+        "mult table      --graph F --cap C", _cmd_mult_table, ("--graph", "--cap")),
+    ("chromatic",): (
+        "chromatic       --graph F --weight W [--method direct|join|bond]", _cmd_chromatic,
+        ("--graph", "--weight", ("--method", ("direct", "join", "bond"), "direct"))),
+    ("verify", "pbw"): (
+        "verify pbw           --graph F --cap C",
+        lambda args: _cmd_verify_series(args, mult_mod.verify_pbw), ("--graph", "--cap")),
+    ("verify", "cartier-foata"): (
+        "verify cartier-foata --graph F --cap C",
+        lambda args: _cmd_verify_series(args, mult_mod.verify_cartier_foata),
+        ("--graph", "--cap")),
+    ("verify", "triangular"): (
+        "verify triangular    --graph F --weight W", _cmd_verify_triangular,
+        ("--graph", "--weight")),
+    ("verify", "all"): (
+        "verify all           --graph F --cap C", _cmd_verify_all, ("--graph", "--cap")),
+}
 
-commands:
-  validate <file>
-  heaps enumerate --graph F --weight W [--class heap|pyramid|super-letter|lyndon|super-lyndon]
-  basis lyndon    --graph F --weight W
-  basis lln       --graph F --weight W --base i
-  mult            --graph F --weight W [--method recursion|closed|both]
-  mult table      --graph F --cap C
-  chromatic       --graph F --weight W [--method direct|join|bond]
-  verify pbw           --graph F --cap C
-  verify cartier-foata --graph F --cap C
-  verify triangular    --graph F --weight W
-  verify all           --graph F --cap C
-
-global options: --json (machine output)
-"""
+_USAGE = ("usage: freeroots <command> [options]\n\ncommands:\n"
+          + "".join(f"  {usage}\n" for usage, _, _ in _COMMANDS.values())
+          + "\nglobal options: --json (machine output)\n")
 
 
 def _dispatch(argv) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(_USAGE, end="")
         return 0
-    head, rest = argv[0], argv[1:]
-    if head == "validate":
-        return _cmd_validate(rest)
-    if head == "heaps":
-        if rest and rest[0] == "enumerate":
-            return _cmd_heaps_enumerate(rest[1:])
-        raise InputError("usage: freeroots heaps enumerate ...")
-    if head == "basis":
-        if rest and rest[0] in ("lyndon", "lln"):
-            return _cmd_basis(rest[0], rest[1:])
-        raise InputError("usage: freeroots basis lyndon|lln ...")
-    if head == "mult":
-        if rest and rest[0] == "table":
-            return _cmd_mult_table(rest[1:])
-        return _cmd_mult(rest)
-    if head == "chromatic":
-        return _cmd_chromatic(rest)
-    if head == "verify":
-        if rest and rest[0] in ("pbw", "cartier-foata", "triangular", "all"):
-            return _cmd_verify(rest[0], rest[1:])
-        raise InputError("usage: freeroots verify pbw|cartier-foata|triangular|all ...")
-    raise InputError(f"unknown command {head!r}")
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = words[:1]
+    if words not in _COMMANDS:
+        subs = [w[1] for w in _COMMANDS if len(w) == 2 and w[0] == argv[0]]
+        if subs:
+            raise InputError(f"usage: freeroots {argv[0]} {'|'.join(subs)} ...")
+        raise InputError(f"unknown command {argv[0]!r}")
+    _, handler, options = _COMMANDS[words]
+    try:
+        args = _parse(words, argv[len(words):], options)
+    except SystemExit as exc:  # the command's --help, printed by argparse
+        return exc.code
+    return handler(args)
 
 
 def main(argv=None) -> int:

@@ -196,12 +196,6 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
     return heap._st
 
 
-def compare(left: Heap, right: Heap) -> int:
-    """-1 / 0 / +1 comparing standard words, proper prefixes first."""
-    a, b = standard_word(left), standard_word(right)
-    return -1 if a < b else (0 if a == b else 1)
-
-
 def sort_key(heap: Heap) -> tuple[int, ...]:
     return standard_word(heap)
 
@@ -386,10 +380,6 @@ def super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
             if f.parity() == 1:
                 out.append(superpose(f, f))
     return tuple(sorted(out, key=sort_key))
-
-
-def enumerate_super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
-    return super_lyndon_heaps(graph, k)
 
 
 class HeapClasses:

@@ -256,12 +256,13 @@ def _is_connected(graph: Supergraph, k: tuple[int, ...]) -> bool:
 def independent_sets(graph: Supergraph, restrict=None) -> list[tuple[int, ...]]:
     """Every subset of ``restrict`` spanning no edge, the empty set included.
 
-    Deterministic order: by size, then lexicographically.
+    A vertex named twice in ``restrict`` counts once.  Deterministic
+    order: by size, then lexicographically.
     """
     if restrict is None:
         verts = list(range(graph.n))
     else:
-        verts = sorted(graph.index(v) for v in restrict)
+        verts = sorted({graph.index(v) for v in restrict})
     out = [()]
     for r in range(1, len(verts) + 1):
         for sub in itertools.combinations(verts, r):

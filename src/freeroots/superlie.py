@@ -297,7 +297,7 @@ class RankCertificate:
     cols: int
     rank: int
     pivot_columns: tuple[int, ...]
-    method: str = "fraction-free elimination"
+    method = "fraction-free elimination"  # a class attribute, not a field
 
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols, "rank": self.rank,

@@ -12,9 +12,8 @@ from fractions import Fraction
 from freeroots import Supergraph
 from freeroots.supergraph import is_connected_support, is_free_weight, support
 from freeroots.heaps import (heap_from_word, enumerate_heaps, sort_key,
-                             enumerate_super_lyndon_heaps, lyndon_heaps,
-                             super_lyndon_heaps, standard_factorization,
-                             decompositions, is_lyndon)
+                             lyndon_heaps, super_lyndon_heaps,
+                             standard_factorization, decompositions, is_lyndon)
 from freeroots.superlie import (lyndon_heap_basis, lln_basis, lambda_equals_e,
                                 _expand_lambda)
 from freeroots.chromatic import (RationalPoly, binomial_poly, choose_q,
@@ -50,7 +49,7 @@ def test_c01_odd_root_multiplicity_three():
     poly = k_chromatic_direct(g, k)
     expected = choose_q(3) * binomial_poly(RationalPoly((-3, 1)), 3)
     records = mult_free_root(g, k, "both")
-    heap_count = len(enumerate_super_lyndon_heaps(g, k))
+    heap_count = len(super_lyndon_heaps(g, k))
     ok = (poly == expected and records.recursion == 3
           and records.closed_form == 3 and heap_count == 3)
     elapsed = time.time() - t0
@@ -81,7 +80,7 @@ def test_c03_lyndon_heap_basis_of_the_tree():
     t0 = time.time()
     g = _tree6()
     k = (0, 0, 3, 0, 0, 3)
-    heaps = enumerate_super_lyndon_heaps(g, k)
+    heaps = super_lyndon_heaps(g, k)
     words = [h.word() for h in heaps]
     splits = {}
     for h in heaps:
@@ -298,7 +297,7 @@ def test_c10_method_discrepancy_is_flagged_not_fatal():
     record = mult_free_root(g, (2,), "both")
     ok = (record.closed_form == 0 and record.recursion == 1
           and not record.agree
-          and len(enumerate_super_lyndon_heaps(g, (2,))) == 1)
+          and len(super_lyndon_heaps(g, (2,))) == 1)
     reports, suite_ok = run_verification_suite(g, (4,))
     flagged = next(r for r in reports if "discrepanc" in r["name"])
     ok = ok and suite_ok and "1 weight(s) flagged" in flagged["detail"]

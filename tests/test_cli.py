@@ -274,6 +274,15 @@ def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["mult", "--help"], ["mult", "table", "-h"],
+                                  ["validate", "--help"]])
+def test_command_help_returns_zero(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: freeroots " + " ".join(argv[:-1]) + " ")
+    assert err == ""
+
+
 def test_output_deterministic(tree6_file, capsys):
     runs = []
     for _ in range(2):

@@ -9,12 +9,11 @@ import pytest
 
 from freeroots import InputError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
-                             single, superpose, standard_word, compare,
+                             single, superpose, standard_word,
                              sort_key, enumerate_heaps, heaps_up_to, classify,
                              conjugacy_class, decompositions, is_primitive,
                              is_lyndon, is_lyndon_word, lyndon_heaps,
                              super_lyndon_heaps,
-                             enumerate_super_lyndon_heaps,
                              standard_factorization, super_letter_factors,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
@@ -178,10 +177,8 @@ def test_letter_order(edge36):
     h3 = heap_from_word(edge36, "3")
     h36 = heap_from_word(edge36, "36")
     h6 = heap_from_word(edge36, "6")
-    assert compare(h3, h36) == -1
-    assert compare(h36, h6) == -1
-    assert compare(h6, h6) == 0
-    assert compare(h6, h3) == 1
+    assert sort_key(h3) < sort_key(h36) < sort_key(h6)
+    assert sort_key(h6) == sort_key(heap_from_word(edge36, "6"))
 
 
 def test_left_factor_is_smaller(p4, edge36):
@@ -192,7 +189,7 @@ def test_left_factor_is_smaller(p4, edge36):
             f = heap_from_word(graph, random_word(rng, graph, 4) or [0])
             if not e.pieces or not f.pieces:
                 continue
-            assert compare(e, superpose(e, f)) == -1
+            assert sort_key(e) < sort_key(superpose(e, f))
 
 
 def test_order_on_letter_products_is_lexicographic(path6):
@@ -202,7 +199,6 @@ def test_order_on_letter_products_is_lexicographic(path6):
     for r in (1, 2):
         seqs += [list(s) for s in itertools.product(letters, repeat=r)]
     seqs = [s for s in seqs if sum(len(l) for l in s) <= 5]
-    key = lambda l: sort_key(l)
     for sa in seqs:
         for sb in seqs:
             prod_a, prod_b = sa[0], sb[0]
@@ -210,9 +206,9 @@ def test_order_on_letter_products_is_lexicographic(path6):
                 prod_a = superpose(prod_a, l)
             for l in sb[1:]:
                 prod_b = superpose(prod_b, l)
-            lex = -1 if [key(l) for l in sa] < [key(l) for l in sb] else \
-                (0 if [key(l) for l in sa] == [key(l) for l in sb] else 1)
-            assert compare(prod_a, prod_b) == lex, (sa, sb)
+            lex_a, lex_b = [sort_key(l) for l in sa], [sort_key(l) for l in sb]
+            key_a, key_b = sort_key(prod_a), sort_key(prod_b)
+            assert (key_a < key_b, key_a == key_b) == (lex_a < lex_b, lex_a == lex_b), (sa, sb)
 
 
 def test_total_order_on_weight_class(tree6_plain):
@@ -368,12 +364,12 @@ def test_lyndon_word_matches_rotation_oracle():
 
 
 def test_super_lyndon_weight_33(tree6):
-    heaps = enumerate_super_lyndon_heaps(tree6, (0, 0, 3, 0, 0, 3))
+    heaps = super_lyndon_heaps(tree6, (0, 0, 3, 0, 0, 3))
     assert [h.word() for h in heaps] == ["333666", "336366", "336636"]
 
 
 def test_super_lyndon_path_weight(path6):
-    heaps = enumerate_super_lyndon_heaps(path6, (0, 0, 2, 1, 2, 1))
+    heaps = super_lyndon_heaps(path6, (0, 0, 2, 1, 2, 1))
     assert [h.word() for h in heaps] == ["334556", "334565"]
 
 
@@ -426,7 +422,7 @@ def test_disconnected_weight_has_no_super_lyndon(p4):
 def test_factorizations_on_tree(tree6):
     expect = {"336636": ("3366", "36"), "333666": ("3", "33666"),
               "336366": ("3", "36366")}
-    for h in enumerate_super_lyndon_heaps(tree6, (0, 0, 3, 0, 0, 3)):
+    for h in super_lyndon_heaps(tree6, (0, 0, 3, 0, 0, 3)):
         f, n = standard_factorization(h)
         assert (f.word(), n.word()) == expect[h.word()]
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph
-from freeroots.heaps import enumerate_super_lyndon_heaps, super_lyndon_heaps
+from freeroots.heaps import super_lyndon_heaps
 from freeroots.multiplicity import (moebius, divisors, mult_free_root,
                                     free_roots_up_to, verify_pbw,
                                     verify_cartier_foata,
@@ -63,7 +63,7 @@ def test_single_odd_vertex_discrepancy():
     assert rec.recursion == 1
     assert rec.closed_form == 0
     assert not rec.agree
-    assert len(enumerate_super_lyndon_heaps(g, (2,))) == 1
+    assert len(super_lyndon_heaps(g, (2,))) == 1
 
 
 def test_non_free_weight_rejected(tree6):
@@ -88,7 +88,7 @@ def test_mult_equals_heap_count_sweep():
         for k in itertools.product(range(4), repeat=g.n):
             if not (0 < sum(k) <= 6) or not is_connected_support(g, k):
                 continue
-            assert mult_free_root(g, k) == len(enumerate_super_lyndon_heaps(g, k)), (g, k)
+            assert mult_free_root(g, k) == len(super_lyndon_heaps(g, k)), (g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_table_matches_heap_counts(tree6):
     table = free_roots_up_to(tree6, (1, 1, 2, 1, 1, 2))
     assert table.entries
     for w, rec in table.entries.items():
-        assert rec.recursion == len(enumerate_super_lyndon_heaps(tree6, w))
+        assert rec.recursion == len(super_lyndon_heaps(tree6, w))
 
 
 def test_table_discrepancy_report():
