@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 
 from .errors import InputError
@@ -318,33 +318,18 @@ def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
 # ---------------------------------------------------------------------------
 # Bond lattice.
 
-@dataclass(frozen=True)
-class BondPartition:
-    """Multiset of blocks; a block is a weight with connected support."""
-
-    blocks: tuple[tuple[int, ...], ...]  # sorted, possibly repeated
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def multiplicities(self) -> dict[tuple[int, ...], int]:
-        out = {}
-        for b in self.blocks:
-            out[b] = out.get(b, 0) + 1
-        return out
-
-
 @functools.lru_cache(maxsize=None)
 def _connected_subweights(graph: Supergraph, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     out = [w for w in weights_up_to(k) if any(w) and is_connected_support(graph, w)]
     return tuple(sorted(out, reverse=True))
 
 
-def bond_lattice(graph: Supergraph, k) -> list[BondPartition]:
+def bond_lattice(graph: Supergraph, k) -> list[tuple[tuple[int, ...], ...]]:
     """All multisets of connected-support blocks splitting the weight of k.
 
-    Enumeration keeps blocks nonincreasing in a fixed order so each
-    multiset appears once; deterministic output order.
+    Each multiset is a tuple of blocks, a block being a weight with
+    connected support.  Blocks are nonincreasing, so repeats sit next to
+    each other and each multiset appears once; deterministic output order.
     """
     k = check_weight(graph, k)
     blocks = _connected_subweights(plain(graph), k)
@@ -352,7 +337,7 @@ def bond_lattice(graph: Supergraph, k) -> list[BondPartition]:
 
     def rec(remaining: tuple[int, ...], start: int, chosen: list):
         if not any(remaining):
-            out.append(BondPartition(tuple(chosen)))
+            out.append(tuple(chosen))
             return
         for idx in range(start, len(blocks)):
             b = blocks[idx]
@@ -366,16 +351,20 @@ def bond_lattice(graph: Supergraph, k) -> list[BondPartition]:
     return out
 
 
-def _bond_counts(graph: Supergraph, k, mult) -> tuple[int, ...]:
+def _bond_counts(graph: Supergraph, k) -> tuple[int, ...]:
     """Binomial-basis coefficients by the bond-lattice expansion.
 
-    ``mult`` maps a block weight to the multiplicity of the corresponding
-    free root.  Blocks of even weight contribute C(q*mult, D) and blocks of
-    odd weight C(-q*mult, D), with a sign from the number of blocks and of
-    odd blocks.  Only free weights are accepted.  Block parities add up to
-    k's, so the odd blocks number k's parity mod 2.  The values at
-    q = 0..ht(k) are summed in integers; their forward differences are c.
+    Each block's free-root multiplicity ``mult`` comes from
+    ``multiplicity.mult_free_root``.  Blocks of even weight contribute
+    C(q*mult, D) and blocks of odd weight C(-q*mult, D), with a sign from
+    the number of blocks and of odd blocks.  Only free weights are
+    accepted, and k is checked before any multiplicity is looked up.  Block
+    parities add up to k's, so the odd blocks number k's parity mod 2.  The
+    values at q = 0..ht(k) are summed in integers; their forward
+    differences are c.
     """
+    # multiplicity imports this module, so the import waits for the call
+    from .multiplicity import mult_free_root
     k = check_weight(graph, k)
     if not any(k):
         return (1,)
@@ -383,14 +372,15 @@ def _bond_counts(graph: Supergraph, k, mult) -> tuple[int, ...]:
         raise InputError(f"weight {k} is not free")
     points = range(ht(k) + 1)
     flip = ht(k) + weight_parity(graph, k)
-    scales = {}  # block -> mult(block), negated for an odd block
+    scales = {}  # block -> its multiplicity, negated for an odd block
     columns = {}  # (scale, d) -> C(scale * q, d) at every point
     values = [0] * len(points)
     for partition in bond_lattice(graph, k):
         term = [(-1) ** (len(partition) + flip)] * len(points)
-        for block, d in partition.multiplicities().items():
+        for block, d in Counter(partition).items():
             if block not in scales:
-                scales[block] = (-1) ** weight_parity(graph, block) * mult(block)
+                scales[block] = ((-1) ** weight_parity(graph, block)
+                                 * mult_free_root(graph, block))
             key = (scales[block], d)
             if key not in columns:
                 columns[key] = [_choose(key[0] * q, d) for q in points]
@@ -403,6 +393,6 @@ def _bond_counts(graph: Supergraph, k, mult) -> tuple[int, ...]:
     return _trimmed(counts)
 
 
-def k_chromatic_bond(graph: Supergraph, k, mult) -> RationalPoly:
+def k_chromatic_bond(graph: Supergraph, k) -> RationalPoly:
     """Bond-lattice expansion of the multicolouring polynomial."""
-    return _from_binomial(_bond_counts(graph, k, mult))
+    return _from_binomial(_bond_counts(graph, k))

@@ -195,9 +195,11 @@ def _cmd_basis(args):
     else:
         basis = sl.lln_basis(graph, k, args.base)
         inputs["base"] = args.base
+    result = basis.to_json()
+    result["weight"] = list(k)  # an lln basis holds it in base-first order
     lines = [f"dimension {len(basis)} (rank {basis.certificate.rank} certified)"]
     lines += [f"  {e.word()}  ->  {e.monomial}" for e in basis.elements]
-    _emit(args, inputs, basis.to_json(), lines, [basis.certificate.to_json()])
+    _emit(args, inputs, result, lines, [basis.certificate.to_json()])
     return 0
 
 
@@ -229,13 +231,7 @@ def _cmd_mult_table(args):
 
 def _cmd_chromatic(args):
     graph, k = args.supergraph, args.weight
-    if args.method == "direct":
-        poly = ch.k_chromatic_direct(graph, k)
-    elif args.method == "join":
-        poly = ch.k_chromatic_join(graph, k)
-    else:
-        poly = ch.k_chromatic_bond(graph, k,
-                                   lambda w: mult_mod.mult_free_root(graph, w))
+    poly = getattr(ch, "k_chromatic_" + args.method)(graph, k)
     factored = poly.factored()
     result = {"weight": list(k), "method": args.method,
               "coefficients": poly.to_json(), "pretty": poly.pretty(),
@@ -334,8 +330,7 @@ def run_verification_suite(graph, cap):
             disagreements.append(record.to_json())
         direct = ch._tuple_counts(sg.plain(graph), k)
         same = (direct == ch._join_counts(graph, k)
-                and direct == ch._bond_counts(
-                    graph, k, lambda w: mult_mod.mult_free_root(graph, w)))
+                and direct == ch._bond_counts(graph, k))
         chrom_ok = chrom_ok and same
     add(f"triangularity over {len(weights)} weights", tri_ok)
     add(f"dimension agreement over {len(weights)} weights", dim_ok)

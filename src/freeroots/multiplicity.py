@@ -6,15 +6,15 @@ integer counts of ordered tuples of independent sets (the polynomial's
 coefficients in the binomial basis C(q, m)), so no polynomial is built.
 Two methods are implemented:
 
-* ``closed_form`` is the Moebius sum with a single global sign pattern
-  chosen by the parity of the top weight (even weights get mu(l)/l, odd
-  weights (-1)^(l+1) mu(l)/l);
+* ``closed_form`` is the plain Moebius sum sum_l (mu(l) / l) |pi_{k/l}[q]|
+  over the divisors l of gcd(k), with no sign pattern: every l dividing an
+  odd weight is odd, since l divides its odd total of odd letters;
 
 * ``recursion`` inverts, divisor by divisor, the logarithm of the graded
   product sum_l (s_l / l) mult(k/l) = |pi_{k}[q]| where the sign s_l is
   (-1)^(l+1) when the sub-weight k/l is odd and 1 when it is even.
 
-The two agree unless an even weight has odd sub-weights (a square of an
+The two agree unless an even l has an odd sub-weight k/l (a square of an
 odd root); disagreements are reported, never averaged, and the recursion
 is the ground truth: it matches the super Lyndon heap count, which is
 checked wherever both are computed.
@@ -66,48 +66,35 @@ def _magnitude(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
     return abs(_linear_plain(plain(graph), k))
 
 
-def _sub_sign(graph: Supergraph, l: int, sub: tuple[int, ...]) -> int:
-    """Sign of the l-th power term, from the parity of the sub-weight."""
-    if weight_parity(graph, sub) == 0:
-        return 1
-    return 1 if (l + 1) % 2 == 0 else -1
-
-
 @functools.lru_cache(maxsize=None)
 def _mult_recursion(graph: Supergraph, k: tuple[int, ...]) -> int:
     total = _magnitude(graph, k)
-    g = weight_gcd(k)
-    for l in divisors(g):
-        if l == 1:
-            continue
+    for l in divisors(weight_gcd(k))[1:]:
         sub = divide_weight(k, l)
-        total -= Fraction(_sub_sign(graph, l, sub), l) * _mult_recursion(graph, sub)
+        # s_l = (-1)^(l+1) for an odd sub-weight, 1 for an even one
+        total -= (Fraction((-1) ** ((l + 1) * weight_parity(graph, sub)), l)
+                  * _mult_recursion(graph, sub))
     if total.denominator != 1 or total < 0:
         raise ConsistencyError(
             f"multiplicity recursion gave {total} at weight {k}")
     return int(total)
 
 
-def _mult_closed_form(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
-    odd = weight_parity(graph, k) == 1
+def _mult_closed_form(graph: Supergraph, k: tuple[int, ...]) -> int | Fraction:
+    """The Moebius sum, as an int when it is integral."""
     total = Fraction(0)
     for l in divisors(weight_gcd(k)):
         mu = moebius(l)
-        if not mu:
-            continue
-        coeff = _magnitude(graph, divide_weight(k, l))
-        term = Fraction(mu, l) * coeff
-        if odd and (l + 1) % 2:
-            term = -term
-        total += term
-    return total
+        if mu:
+            total += Fraction(mu, l) * _magnitude(graph, divide_weight(k, l))
+    return int(total) if total.denominator == 1 else total
 
 
 def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
     """Multiplicity of the free root with weight k.
 
     ``method`` is ``recursion`` (default, exact ground truth),
-    ``closed_form`` (the single-sign Moebius sum, may disagree on even
+    ``closed_form`` (the plain Moebius sum, may disagree on even
     weights with odd sub-weights) or ``both`` for a comparison record.
     Non-free weights are rejected; disconnected supports give 0.
     """
@@ -120,16 +107,15 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
     if method == "recursion":
         return _mult_recursion(graph, k) if connected else 0
     if method == "closed_form":
-        value = _mult_closed_form(graph, k) if connected else Fraction(0)
-        return int(value) if value.denominator == 1 else value
+        return _mult_closed_form(graph, k) if connected else 0
     if method == "both":
         rec = _mult_recursion(graph, k) if connected else 0
-        closed = _mult_closed_form(graph, k) if connected else Fraction(0)
+        closed = _mult_closed_form(graph, k) if connected else 0
         return MultRecord(
             weight=k,
             parity="odd" if weight_parity(graph, k) else "even",
             recursion=rec,
-            closed_form=int(closed) if closed.denominator == 1 else closed,
+            closed_form=closed,
             agree=(closed == rec),
             linear_coefficient=_magnitude(graph, k),
         )

@@ -195,8 +195,7 @@ def test_c05_bond_lattice_identity_sweep():
                 m, re, rp, rk = key
                 sub = Supergraph(NAMES[:m], re, psi=rp)
                 lhs = k_chromatic_direct(sub, rk)
-                rhs = k_chromatic_bond(sub, rk,
-                                       lambda w: mult_free_root(sub, w))
+                rhs = k_chromatic_bond(sub, rk)
                 cache[key] = (lhs == rhs)
             assert cache[key], (edges, psi, k)
     elapsed = time.time() - t0

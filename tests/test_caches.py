@@ -1,7 +1,7 @@
 from freeroots import (clear_caches, supergraph, heaps, superlie, chromatic,
                        multiplicity, free_roots_up_to, lyndon_heap_basis,
                        lln_basis, super_lyndon_heaps, k_chromatic_join,
-                       k_chromatic_bond, mult_free_root)
+                       k_chromatic_bond)
 from freeroots.heaps import enumerate_heaps, heap_from_word
 from freeroots.superlie import expand_monomial, left_normed
 from freeroots.supergraph import plain
@@ -24,8 +24,7 @@ def snapshot(graph):
         lln_basis(graph, k, "3").to_json(),
         [h.word() for h in super_lyndon_heaps(graph, k)],
         k_chromatic_join(graph, (0, 1, 2, 1, 0, 0)).to_json(),
-        k_chromatic_bond(graph, (0, 1, 2, 1, 0, 0),
-                         lambda b: mult_free_root(graph, b)).to_json(),
+        k_chromatic_bond(graph, (0, 1, 2, 1, 0, 0)).to_json(),
     )
 
 

@@ -156,6 +156,15 @@ def test_basis_lln(path6_file, capsys):
     assert doc["certificates"][0]["rank"] == 2
 
 
+def test_basis_lln_weight_in_graph_order(path6_file, capsys):
+    """With a base that is not the first vertex, ``result.weight`` is still
+    in the graph file's vertex order, like ``inputs.weight``."""
+    code, doc = run_json(capsys, ["basis", "lln", "--graph", path6_file,
+                                  "--weight", "0,1,2,1,0,0", "--base", "3"])
+    assert code == 0
+    assert doc["result"]["weight"] == doc["inputs"]["weight"] == [0, 1, 2, 1, 0, 0]
+
+
 def test_basis_lyndon(tree6_file, capsys):
     code, doc = run_json(capsys, ["basis", "lyndon", "--graph", tree6_file,
                                   "--weight", "0,0,3,0,0,3"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from fractions import Fraction
@@ -248,4 +249,9 @@ def test_recursion_matches_super_lyndon_count_on_random_supergraphs(case):
     assert mult_free_root(graph, k, method="recursion") == len(super_lyndon_heaps(graph, k))
     record = mult_free_root(graph, k, method="both")
     assert record.agree == (record.closed_form == record.recursion)
+    # Every sign s_l is +1, and the methods must agree, unless some even l
+    # has an odd sub-weight k/l.
+    odd_square = any(weight_parity(graph, tuple(x // l for x in k))
+                     for l in divisors(math.gcd(*k)) if l % 2 == 0)
+    assert odd_square or record.agree
 
