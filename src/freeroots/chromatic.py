@@ -134,8 +134,11 @@ class RationalPoly:
         counts = {}
         work = self
         for r in range(0, self.degree() + 1):
-            while work.degree() >= 1 and work(r) == 0:
-                work = _divide_linear(work, r)
+            while work.degree() >= 1:
+                quotient, remainder = _divide_linear(work, r)
+                if remainder:
+                    break
+                work = quotient
                 counts[r] = counts.get(r, 0) + 1
         if work.degree() != 0:
             return None
@@ -153,18 +156,15 @@ class RationalPoly:
         return f"RationalPoly({self.pretty()})"
 
 
-def _divide_linear(poly: RationalPoly, root: int) -> RationalPoly | None:
-    """poly / (q - root) when the division is exact."""
-    rem = Fraction(0)
-    out = [Fraction(0)] * max(poly.degree(), 0)
-    for i in range(poly.degree(), -1, -1):
-        if i == poly.degree():
-            out[i - 1] = poly.coeffs[i]
-        elif i > 0:
-            out[i - 1] = poly.coeffs[i] + out[i] * root
-        else:
-            rem = poly.coeffs[0] + out[0] * root
-    return RationalPoly(out) if rem == 0 else None
+def _divide_linear(poly: RationalPoly, root: int) -> tuple[RationalPoly, Fraction]:
+    """(poly // (q - root), poly(root)) by one pass of synthetic division."""
+    acc = Fraction(0)
+    out = []
+    for c in reversed(poly.coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    remainder = out.pop()
+    return RationalPoly(reversed(out)), remainder
 
 
 def binomial_poly(arg: RationalPoly, d: int) -> RationalPoly:
@@ -330,6 +330,7 @@ def bond_lattice(graph: Supergraph, k) -> list[tuple[tuple[int, ...], ...]]:
     Each multiset is a tuple of blocks, a block being a weight with
     connected support.  Blocks are nonincreasing, so repeats sit next to
     each other and each multiset appears once; deterministic output order.
+    The zero weight has one multiset, the empty one.
     """
     k = check_weight(graph, k)
     blocks = _connected_subweights(plain(graph), k)
@@ -346,8 +347,7 @@ def bond_lattice(graph: Supergraph, k) -> list[tuple[tuple[int, ...], ...]]:
                 rec(tuple(r - x for r, x in zip(remaining, b)), idx, chosen)
                 chosen.pop()
 
-    if any(k):
-        rec(k, 0, [])
+    rec(k, 0, [])
     return out
 
 
@@ -366,8 +366,6 @@ def _bond_counts(graph: Supergraph, k) -> tuple[int, ...]:
     # multiplicity imports this module, so the import waits for the call
     from .multiplicity import mult_free_root
     k = check_weight(graph, k)
-    if not any(k):
-        return (1,)
     if not is_free_weight(graph, k):
         raise InputError(f"weight {k} is not free")
     points = range(ht(k) + 1)

@@ -245,10 +245,10 @@ def _cmd_chromatic(args):
     return 0
 
 
-def _triangularity_report(graph, k):
+def _triangularity_report(expansions):
+    """One check per ``(heap, expansion)`` pair: lambda(H) = c H + larger heaps."""
     checks = []
-    for heap in hp.super_lyndon_heaps(graph, k):
-        expansion = sl._expand_lambda(heap)
+    for heap, expansion in expansions:
         self_coeff = expansion.coefficient(heap)
         expected = 1 if hp.is_lyndon(heap) else 2
         key = hp.sort_key(heap)
@@ -268,7 +268,8 @@ def _cmd_verify_series(args, verify):
 
 def _cmd_verify_triangular(args):
     k = args.weight
-    checks = _triangularity_report(args.supergraph, k)
+    checks = _triangularity_report((heap, sl._expand_lambda(heap))
+                                   for heap in hp.super_lyndon_heaps(args.supergraph, k))
     ok = all(c["ok"] for c in checks)
     lines = [f"{'ok' if ok else 'FAILED'}: {len(checks)} expansions checked"]
     lines += [f"  {c['word']}: self {c['self_coefficient']} (expected {c['expected']})"
@@ -292,9 +293,9 @@ def _cmd_verify_all(args):
 def run_verification_suite(graph, cap):
     """Composite oracle suite over all free connected weights under cap.
 
-    Checks the two series identities, expansion triangularity, the
-    dimension agreements between heap counts, both basis ranks and the
-    multiplicity recursion, and the equality of the three chromatic
+    Checks the two series identities, expansion triangularity, that the
+    bracket basis and every left-normed basis have the recursion's
+    multiplicity as their size, and the equality of the three chromatic
     routes.  Closed-form disagreements are reported, not failed: the
     recursion is the ground truth.
     """
@@ -310,33 +311,24 @@ def run_verification_suite(graph, cap):
     add("series: independence inversion", cf.ok,
         "" if cf.ok else f"first mismatch at {cf.first_mismatch}")
 
-    weights = [w for w in sg.weights_up_to(cap)
-               if any(w) and sg.is_free_weight(graph, w)
-               and sg.is_connected_support(graph, w)]
+    table = mult_mod.free_roots_up_to(graph, cap)
     tri_ok, dim_ok, chrom_ok = True, True, True
-    disagreements = []
-    for k in weights:
-        for c in _triangularity_report(graph, k):
-            tri_ok = tri_ok and c["ok"]
-        slh = hp.super_lyndon_heaps(graph, k)
+    for k, record in table.entries.items():
         lyb = sl.lyndon_heap_basis(graph, k)
-        record = mult_mod.mult_free_root(graph, k, method="both")
-        agree = len(slh) == len(lyb) == lyb.certificate.rank == record.recursion
-        for base in sg.support(k):
-            lln = sl.lln_basis(graph, k, base)
-            agree = agree and len(lln) == lyb.certificate.rank == lln.certificate.rank
-        dim_ok = dim_ok and agree
-        if not record.agree:
-            disagreements.append(record.to_json())
+        for c in _triangularity_report((e.heap, e.expansion) for e in lyb.elements):
+            tri_ok = tri_ok and c["ok"]
+        sizes = {len(sl.lln_basis(graph, k, base)) for base in sg.support(k)}
+        dim_ok = dim_ok and len(lyb) == record.recursion and sizes == {len(lyb)}
         direct = ch._tuple_counts(sg.plain(graph), k)
         same = (direct == ch._join_counts(graph, k)
                 and direct == ch._bond_counts(graph, k))
         chrom_ok = chrom_ok and same
-    add(f"triangularity over {len(weights)} weights", tri_ok)
-    add(f"dimension agreement over {len(weights)} weights", dim_ok)
-    add(f"chromatic route agreement over {len(weights)} weights", chrom_ok)
+    add(f"triangularity over {len(table.entries)} weights", tri_ok)
+    add(f"dimension agreement over {len(table.entries)} weights", dim_ok)
+    add(f"chromatic route agreement over {len(table.entries)} weights", chrom_ok)
+    flagged = len(table.discrepancies())
     add("closed-form discrepancies reported", True,
-        f"{len(disagreements)} weight(s) flagged" if disagreements else "none")
+        f"{flagged} weight(s) flagged" if flagged else "none")
     return reports, all(r["ok"] for r in reports)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, weight_gcd, \
@@ -40,7 +41,8 @@ class Heap:
     Instances are interned, immutable, hashable and equal when their graph
     is the same object (graphs are canonical) and their pieces are equal, so
     a heap kept across :func:`freeroots.clear_caches` equals the one built
-    after it; ``pieces`` is sorted by ``(position, level)``.  ``_shared`` is
+    after it.  ``pieces`` is in drop order, sorted by ``(level, position)``:
+    the minimal pieces, those on level 0, come first.  ``_shared`` is
     the heap over the plain twin: the heap itself over a plain graph.  Use
     :func:`heap_from_word` or :func:`heap_from_pieces` to construct.
     """
@@ -87,15 +89,14 @@ class Heap:
         return f"Heap({self.word()})" if self.pieces else "Heap(0)"
 
     def to_json(self):
-        by_level = sorted(self.pieces, key=lambda pl: (pl[1], pl[0]))
-        return {"pieces": [[self.graph.names[p], lvl] for p, lvl in by_level]}
+        return {"pieces": [[self.graph.names[p], lvl] for p, lvl in self.pieces]}
 
 
 _REGISTRY: dict[Supergraph, dict[tuple, Heap]] = {}
 
 
 def _intern(graph: Supergraph, pieces: tuple) -> Heap:
-    """The pooled heap of these sorted pieces over ``graph``."""
+    """The pooled heap of these pieces, in drop order, over ``graph``."""
     pool = _REGISTRY.get(graph)
     if pool is None:
         pool = _REGISTRY.setdefault(graph, {})
@@ -106,12 +107,14 @@ def _intern(graph: Supergraph, pieces: tuple) -> Heap:
     return heap
 
 
+_DROP_ORDER = operator.itemgetter(1, 0)  # (level, position): the order of Heap.pieces
+
+
 def _drop(graph: Supergraph, pieces, positions) -> Heap:
     """Drop each position in turn onto the pile ``pieces``, as low as it fits."""
     tops = [-1] * graph.n
-    for p, lvl in pieces:
-        if lvl > tops[p]:
-            tops[p] = lvl
+    for p, lvl in pieces:  # in drop order, so a position's top comes last
+        tops[p] = lvl
     pieces = list(pieces)
     zn = graph.zeta_neighbors
     for p in positions:
@@ -121,7 +124,7 @@ def _drop(graph: Supergraph, pieces, positions) -> Heap:
                 level = tops[j] + 1
         tops[p] = level
         pieces.append((p, level))
-    return _intern(graph, tuple(sorted(pieces)))
+    return _intern(graph, tuple(sorted(pieces, key=_DROP_ORDER)))
 
 
 def heap_from_word(graph: Supergraph, letters) -> Heap:
@@ -136,7 +139,7 @@ def _transport(heap: Heap, graph: Supergraph) -> Heap:
 
 def heap_from_pieces(graph: Supergraph, pieces) -> Heap:
     """Re-canonicalize an arbitrary collection of pieces (levels recomputed)."""
-    ordered = sorted(pieces, key=lambda pl: (pl[1], pl[0]))
+    ordered = sorted(pieces, key=_DROP_ORDER)
     return heap_from_word(graph, (p for p, _ in ordered))
 
 
@@ -150,8 +153,7 @@ def single(graph: Supergraph, v) -> Heap:
 
 @functools.lru_cache(maxsize=1 << 18)
 def _superpose_plain(left: Heap, right: Heap) -> Heap:
-    ordered = sorted(right.pieces, key=lambda pl: (pl[1], pl[0]))
-    return _drop(left.graph, left.pieces, (p for p, _ in ordered))
+    return _drop(left.graph, left.pieces, (p for p, _ in right.pieces))
 
 
 def superpose(left: Heap, right: Heap) -> Heap:
@@ -262,9 +264,10 @@ def _min_rotations(heap: Heap):
     ps = heap.pieces
     graph = heap.graph
     for i, (p, lvl) in enumerate(ps):
-        if lvl == 0:
-            rest = heap_from_pieces(graph, ps[:i] + ps[i + 1:])
-            yield superpose(rest, single(graph, p))
+        if lvl:  # past the minimal pieces, which come first
+            return
+        rest = heap_from_pieces(graph, ps[:i] + ps[i + 1:])
+        yield superpose(rest, single(graph, p))
 
 
 def conjugacy_class(heap: Heap) -> frozenset[Heap]:
@@ -397,30 +400,32 @@ class HeapClasses:
         return f"HeapClasses({', '.join(on)})"
 
 
+def is_pyramid(heap: Heap) -> bool:
+    """A single minimal piece: ``classify(heap).pyramid`` without the rest.
+
+    The minimal pieces are the level-0 prefix of ``heap.pieces``.
+    """
+    ps = heap.pieces
+    return bool(ps) and (len(ps) == 1 or ps[1][1] > 0)
+
+
 def is_super_letter(heap: Heap) -> bool:
     """A single minimal piece, on vertex 0, which the heap uses once.
 
     The same as ``classify(heap).super_letter`` (false for the empty heap),
     without the primitivity and Lyndon tests.
     """
-    minimals = [p for p, lvl in heap.pieces if lvl == 0]
-    return minimals == [0] and sum(1 for p, _ in heap.pieces if p == 0) == 1
-
-
-def is_pyramid(heap: Heap) -> bool:
-    """A single minimal piece: ``classify(heap).pyramid`` without the rest."""
-    return sum(1 for _, lvl in heap.pieces if lvl == 0) == 1
+    return is_pyramid(heap) and heap.pieces[0][0] == 0 and heap.weight()[0] == 1
 
 
 def classify(heap: Heap) -> HeapClasses:
     """Flags per the definitions; admissibility is against the global order."""
     if not heap.pieces:
         raise InputError("cannot classify the empty heap")
-    minimals = [p for p, lvl in heap.pieces if lvl == 0]
-    pyramid = len(minimals) == 1
-    base = minimals[0] if pyramid else None
+    pyramid = is_pyramid(heap)
+    base = heap.pieces[0][0]
     admissible = pyramid and base == 0
-    elementary = pyramid and sum(1 for p, _ in heap.pieces if p == base) == 1
+    elementary = pyramid and heap.weight()[base] == 1
     super_letter = admissible and elementary
     primitive = is_primitive(heap)
     lyndon = is_lyndon(heap)

@@ -26,7 +26,7 @@ from itertools import compress, count
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight, _base_first_order
 from .heaps import (Heap, _transport, superpose, single, standard_word,
-                    sort_key, enumerate_heaps, super_lyndon_heaps,
+                    sort_key, enumerate_heaps, super_lyndon_heaps, is_pyramid,
                     is_super_letter, super_letter_factors, heaps_up_to,
                     is_super_lyndon_word, word_standard_factorization)
 
@@ -472,10 +472,9 @@ def lambda_equals_e(heap: Heap) -> bool:
     """
     if not heap.pieces:
         raise InputError("empty heap")
-    minimals = [p for p, lvl in heap.pieces if lvl == 0]
-    if len(minimals) != 1:
+    if not is_pyramid(heap):
         raise InputError(f"{heap!r} is not a super-letter")
-    h = _transport(heap, _base_first_order(heap.graph, minimals[0])[0])
+    h = _transport(heap, _base_first_order(heap.graph, heap.pieces[0][0])[0])
     if not is_super_letter(h):
         raise InputError(f"{heap!r} is not a super-letter")
     w = standard_word(h)

@@ -268,7 +268,7 @@ def brute_bond_lattice(graph, k):
 
 def test_bond_lattice_matches_brute_force():
     p3 = Supergraph(["a", "b", "c"], [(0, 1), (1, 2)])
-    for k in ((1, 1, 1), (2, 1, 0), (2, 1, 1), (0, 2, 2)):
+    for k in ((0, 0, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1), (0, 2, 2)):
         got = set(bond_lattice(p3, k))
         assert got == brute_bond_lattice(p3, k), k
 

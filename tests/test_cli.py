@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeroots import chromatic, multiplicity
 from freeroots.cli import _dumps, main
 from conftest import TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS
 
@@ -252,6 +254,36 @@ def test_verify_all_full_cap(tree6_file, capsys):
     names = [c["name"] for c in doc["result"]["checks"]]
     assert any("graded product" in n for n in names)
     assert any("independence inversion" in n for n in names)
+
+
+def _recursion_plus_one(mult_free_root):
+    def broken(graph, k, method="recursion"):
+        got = mult_free_root(graph, k, method=method)
+        if method != "both":
+            return got
+        return dataclasses.replace(got, recursion=got.recursion + 1)
+    return broken
+
+
+def _one_join_count_bumped(join_counts):
+    def broken(graph, k):
+        counts = join_counts(graph, k)
+        return counts[:-1] + (counts[-1] + 1,)
+    return broken
+
+
+@pytest.mark.parametrize("module, name, breaker, check", [
+    (multiplicity, "mult_free_root", _recursion_plus_one, "dimension agreement"),
+    (chromatic, "_join_counts", _one_join_count_bumped, "chromatic route agreement"),
+])
+def test_verify_all_fails_the_check_a_fault_breaks(module, name, breaker, check,
+                                                    tree6_file, capsys, monkeypatch):
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
+    code, doc = run_json(capsys, ["verify", "all", "--graph", tree6_file,
+                                  "--cap", "1,1,2,1,1,2"])
+    assert code == 2 and doc["result"]["ok"] is False
+    failed = [c["name"] for c in doc["result"]["checks"] if not c["ok"]]
+    assert len(failed) == 1 and failed[0].startswith(check + " over "), failed
 
 
 def test_seed_rejected(tree6_file, capsys):

@@ -528,6 +528,13 @@ def test_super_letter_flag_matches_classify():
                     flags = classify(h) if h.pieces else None
                     assert is_super_letter(h) == bool(flags and flags.super_letter), h
                     assert is_pyramid(h) == bool(flags and flags.pyramid), h
+                    # the same shapes read off the pieces, without the code's rules
+                    ps = h.pieces
+                    assert list(ps) == sorted(ps, key=lambda pl: (pl[1], pl[0])), h
+                    minimal = [p for p, lvl in ps if lvl == 0]
+                    assert is_pyramid(h) == (len(minimal) == 1), h
+                    assert is_super_letter(h) == (
+                        minimal == [0] and sum(p == 0 for p, _ in ps) == 1), h
 
 
 # ---------------------------------------------------------------------------
