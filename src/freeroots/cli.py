@@ -195,11 +195,9 @@ def _cmd_basis(args):
     else:
         basis = sl.lln_basis(graph, k, args.base)
         inputs["base"] = args.base
-    result = basis.to_json()
-    result["weight"] = list(k)  # an lln basis holds it in base-first order
     lines = [f"dimension {len(basis)} (rank {basis.certificate.rank} certified)"]
     lines += [f"  {e.word()}  ->  {e.monomial}" for e in basis.elements]
-    _emit(args, inputs, result, lines, [basis.certificate.to_json()])
+    _emit(args, inputs, basis.to_json(), lines, [basis.certificate.to_json()])
     return 0
 
 

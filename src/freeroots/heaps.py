@@ -13,10 +13,10 @@ standard word decides all of the Lyndon structure with word tests alone:
 a heap is Lyndon exactly when its standard word is a Lyndon word (Lalonde);
 it is super Lyndon exactly when the word is Lyndon or the square of an odd
 Lyndon word; its standard factorization is the word's split; and its
-super-letter factors are the pieces of the word cut before each base
-letter.  Conjugacy classes and decompositions stay public, and square
-roots are searched for in the test suite, as the definitions the word
-rules are checked against.
+super-letter factors are the pieces of its word in the order that makes
+the base least, cut before each base letter.  Conjugacy classes and
+decompositions stay public, and square roots are searched for in the test
+suite, as the definitions the word rules are checked against.
 
 A heap lives on the adjacency; psi only gives its letters a parity.  Every
 heap is interned in one pool per graph, and a heap over a graph with psi,
@@ -32,7 +32,7 @@ import operator
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, weight_gcd, \
-    divide_weight, is_connected_support, weights_up_to, _base_first_order
+    divide_weight, is_connected_support, weights_up_to
 
 
 class Heap:
@@ -80,16 +80,21 @@ class Heap:
 
     def word(self) -> str:
         """Standard word with vertex names (dot-joined unless single chars)."""
-        names = [self.graph.names[p] for p in standard_word(self)]
-        if all(len(s) == 1 for s in names):
-            return "".join(names)
-        return ".".join(names)
+        return _spell(self.graph, standard_word(self))
 
     def __repr__(self):
         return f"Heap({self.word()})" if self.pieces else "Heap(0)"
 
     def to_json(self):
         return {"pieces": [[self.graph.names[p], lvl] for p, lvl in self.pieces]}
+
+
+def _spell(graph: Supergraph, word) -> str:
+    """A word of positions in vertex names (dot-joined unless single chars)."""
+    names = [graph.names[p] for p in word]
+    if all(len(s) == 1 for s in names):
+        return "".join(names)
+    return ".".join(names)
 
 
 _REGISTRY: dict[Supergraph, dict[tuple, Heap]] = {}
@@ -132,11 +137,6 @@ def heap_from_word(graph: Supergraph, letters) -> Heap:
     return _drop(graph, (), map(graph.index, letters))
 
 
-def _transport(heap: Heap, graph: Supergraph) -> Heap:
-    """The same heap over ``graph``, another order of the same named vertices."""
-    return heap_from_word(graph, (heap.graph.names[p] for p in standard_word(heap)))
-
-
 def heap_from_pieces(graph: Supergraph, pieces) -> Heap:
     """Re-canonicalize an arbitrary collection of pieces (levels recomputed)."""
     ordered = sorted(pieces, key=_DROP_ORDER)
@@ -171,13 +171,23 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
     them) take the one with the greatest position.  Minimal pieces occupy
     pairwise non-adjacent distinct positions, so the choice is unique and
     the greedy word dominates every other linearization letter by letter.
-    Pieces on equal or adjacent positions are ordered by level, so the
-    lowest remaining piece of a position is minimal exactly when it lies
-    below the lowest remaining piece of every neighbouring position.
     """
     heap = heap._shared
-    if heap._st is not None:
-        return heap._st
+    if heap._st is None:
+        heap._st = _base_first_word(heap, 0)
+    return heap._st
+
+
+def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
+    """The standard word in the order that makes position ``base`` least.
+
+    :func:`standard_word`'s greedy loop, taking ``base`` last among the
+    minimal pieces; base 0 gives the standard word.  The word is a tuple
+    of the graph's positions, and it is not cached.  Pieces on equal
+    or adjacent positions are ordered by level, so the lowest remaining
+    piece of a position is minimal exactly when it lies below the lowest
+    remaining piece of every neighbouring position.
+    """
     m = len(heap.pieces)
     zn = heap.graph.zeta_neighbors
     stacks = [[m] for _ in zn]  # remaining levels per position, lowest last
@@ -185,7 +195,7 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
         stacks[p].append(lvl)
     low = [st[-1] for st in stacks]  # m once a position is used up
     at = low.__getitem__
-    order = range(len(zn) - 1, -1, -1)
+    order = (*range(len(zn) - 1, base, -1), *range(base - 1, -1, -1), base)
     out = []
     for _ in range(m):
         for p in order:  # zn[p] holds p itself, so the min is at most low[p]
@@ -194,8 +204,7 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
         stacks[p].pop()
         low[p] = stacks[p][-1]
         out.append(p)
-    heap._st = tuple(out)
-    return heap._st
+    return tuple(out)
 
 
 def sort_key(heap: Heap) -> tuple[int, ...]:
@@ -466,25 +475,20 @@ def standard_factorization(heap: Heap) -> tuple[Heap, Heap]:
 def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
     """Unique factorization into super-letters over a base vertex.
 
-    The base defaults to the least vertex of the graph; any other base is
-    handled by working in the order that makes it least (factors are
-    returned over the original graph).  The standard word of a product of
-    super-letters is the concatenation of theirs, each starting with the
-    base letter and using it once; so the word is cut before each base
-    letter.  A heap with no base piece, or whose word does not start with
-    the base letter, is not such a product and raises InputError.  No
-    piece needs a further check: when the word starts with the base
-    letter, the base is the only minimal piece of each remaining heap, and
-    a prefix of a standard word is a down-set, so each piece is a pyramid
-    on the base that uses it once.
+    The base defaults to the least vertex of the graph.  In the order that
+    makes the base least, the standard word of a product of super-letters
+    is the concatenation of theirs, each starting with the base letter and
+    using it once; so that word is cut before each base letter.  A heap
+    with no base piece, or whose word does not start with the base letter,
+    is not such a product and raises InputError.  No piece needs a further
+    check: when the word starts with the base letter, the base is the only
+    minimal piece of each remaining heap, and a prefix of a linearization
+    is a down-set, so each piece is a pyramid on the base that uses it once.
     """
     graph = heap.graph
-    if base is not None and graph.index(base) != 0:
-        work, _ = _base_first_order(graph, base)
-        return tuple(_transport(f, graph)
-                     for f in super_letter_factors(_transport(heap, work)))
-    word = standard_word(heap)
-    cuts = [i for i, p in enumerate(word) if p == 0]
+    b = 0 if base is None else graph.index(base)
+    word = _base_first_word(heap, b)
+    cuts = [i for i, p in enumerate(word) if p == b]
     if not cuts:
         raise InputError("no piece on the base vertex")
     if cuts[0]:

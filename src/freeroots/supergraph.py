@@ -5,7 +5,8 @@ distinguished subset ``psi`` of odd vertices, and two optional annotations
 coming from a supermatrix: ``real`` (vertices with diagonal entry 2) and
 ``psi0`` (odd vertices with diagonal entry 0).  The vertex order is the
 declaration order of the vertex list; everything downstream (standard words,
-Lyndon heaps, bases) depends on it.
+Lyndon heaps, bases) depends on it.  A left-normed basis also reads words
+with its base least, over the same graph.
 
 A supergraph is canonical: constructing one returns the live instance with
 the same names, edges and annotations, so two equal graphs are the same
@@ -156,17 +157,6 @@ def plain(graph: Supergraph) -> Supergraph:
     plain twin, so caches for those layers key on it.
     """
     return Supergraph(graph.names, graph.edges)
-
-
-def _base_first_order(graph: Supergraph, base) -> tuple[Supergraph, tuple[int, ...]]:
-    """The graph reordered so ``base`` is least, relative order kept.
-
-    Also returns ``order``, where ``order[new]`` is the old index of the
-    vertex now at ``new``; a weight permutes as ``tuple(k[o] for o in order)``.
-    """
-    i = graph.index(base)
-    order = (i,) + tuple(j for j in range(graph.n) if j != i)
-    return graph.with_order(order), order
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from fractions import Fraction
 from itertools import compress, count
 
 from .errors import InputError, ConsistencyError
-from .supergraph import Supergraph, check_weight, _base_first_order
-from .heaps import (Heap, _transport, superpose, single, standard_word,
-                    sort_key, enumerate_heaps, super_lyndon_heaps, is_pyramid,
-                    is_super_letter, super_letter_factors, heaps_up_to,
-                    is_super_lyndon_word, word_standard_factorization)
+from .supergraph import Supergraph, check_weight
+from .heaps import (Heap, superpose, single, standard_word, sort_key,
+                    enumerate_heaps, super_lyndon_heaps, is_pyramid,
+                    super_letter_factors, heaps_up_to, is_super_lyndon_word,
+                    word_standard_factorization, _base_first_word, _spell)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +304,23 @@ class RankCertificate:
                 "pivot_columns": list(self.pivot_columns), "method": self.method}
 
 
-def _dense_rows(graph: Supergraph, k, polys) -> tuple[int, list[list[int]]]:
-    """Number of weight-k heaps, and the coefficient row of each polynomial."""
-    col = {h: i for i, h in enumerate(enumerate_heaps(graph, tuple(k)))}
+def _dense_rows(columns, polys) -> list[list[int]]:
+    """The coefficient row of each polynomial over the heaps ``columns``."""
+    col = {h: i for i, h in enumerate(columns)}
     rows = []
     for poly in polys:
         row = [0] * len(col)
         for h, c in poly.terms.items():
             row[col[h]] = c
         rows.append(row)
-    return len(col), rows
+    return rows
 
 
-def _expansion_matrix(graph: Supergraph, k, expansions) -> RankCertificate:
-    """Full-row-rank certificate of expansions against the weight-k heap basis."""
-    cols, rows = _dense_rows(graph, k, expansions)
+def _expansion_matrix(k, columns, expansions) -> RankCertificate:
+    """Full-row-rank certificate of expansions against the weight-k heaps ``columns``."""
+    rows = _dense_rows(columns, expansions)
     rank, pivots = integer_rank(rows)
-    cert = RankCertificate(len(rows), cols, rank, tuple(pivots))
+    cert = RankCertificate(len(rows), len(columns), rank, tuple(pivots))
     if rank != len(rows):
         raise ConsistencyError(
             f"expansion matrix of weight {tuple(k)} has rank {rank} < {len(rows)}")
@@ -368,6 +368,10 @@ class BasisElement:
     letters: tuple[Heap, ...] | None = None
 
     def word(self) -> str:
+        """The heap's standard word; an lln element's is in the order that
+        makes its base least, which its letters spell."""
+        if self.letters:
+            return _spell(self.heap.graph, [p for l in self.letters for p in standard_word(l)])
         return self.heap.word()
 
 
@@ -404,7 +408,7 @@ def lyndon_heap_basis(graph: Supergraph, k) -> GradedBasis:
     elements = []
     for heap in super_lyndon_heaps(graph, k):
         elements.append(BasisElement(heap, lambda_monomial(heap), _expand_lambda(heap)))
-    cert = _expansion_matrix(graph, k, [e.expansion for e in elements])
+    cert = _expansion_matrix(k, enumerate_heaps(graph, k), [e.expansion for e in elements])
     return GradedBasis(graph, k, tuple(elements), cert)
 
 
@@ -414,87 +418,86 @@ def lyndon_heap_basis(graph: Supergraph, k) -> GradedBasis:
 def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ...]:
     """All super-letters with the given base, weight <= cap, ascending.
 
-    Heaps are built over the reordered graph in which ``base`` is the least
-    vertex (names are unchanged, so words read naturally).
+    They are heaps over ``graph``: pyramids on ``base`` that use it once,
+    whatever the cap says there.
     """
     weight_cap = check_weight(graph, weight_cap)
-    work, order = _base_first_order(graph, base)
-    # a super-letter uses its base exactly once, whatever the cap says there
-    cap = (1,) + tuple(weight_cap[o] for o in order[1:])
-    letters = []
-    for w, hs in heaps_up_to(work, cap).items():
-        if not w[0]:
-            continue
-        for h in hs:
-            if is_super_letter(h):
-                letters.append(h)
+    b = graph.index(base)
+    cap = weight_cap[:b] + (1,) + weight_cap[b + 1:]
+    letters = [h for hs in heaps_up_to(graph, cap).values() for h in hs
+               if is_pyramid(h) and h.pieces[0][0] == b]
     return tuple(sorted(letters, key=sort_key))
 
 
 def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
     """Basis from super Lyndon words over the super-letter alphabet of ``base``.
 
-    Each word is the unique super-letter factorization of a super Lyndon
-    heap of weight k (computed in the order that makes ``base`` least);
+    The basis lives over ``graph``, and expands in the heap basis that
+    :func:`lyndon_heap_basis` uses; the base only orders words.  The heaps
+    of weight k whose word in the order that makes ``base`` least is super
+    Lyndon index the basis, sorted by that word, as are the certificate's
+    columns.  Each heap's super-letter factorization is a super Lyndon
+    word over the alphabet, whose letters compare by their standard words;
     its bracket tree follows the word's standard factorization and each
-    letter becomes the left-normed bracket of its standard word.  Letters
-    compare by their standard words, so the word over the alphabet is the
-    tuple of those words.
+    letter becomes the left-normed bracket of its standard word.
     """
     k = check_weight(graph, k)
-    work, order = _base_first_order(graph, base)
-    wk = tuple(k[o] for o in order)
-    if wk[0] < 1:
-        raise InputError(f"base vertex {work.names[0]!r} is not in the support")
+    b = graph.index(base)
+    if not k[b]:
+        raise InputError(f"base vertex {graph.names[b]!r} is not in the support")
+    rank = [-1 if p == b else p for p in range(graph.n)]  # the base least
+    odd = {rank[p] for p in graph.psi}
+    ranked = {h: tuple(rank[p] for p in _base_first_word(h, b))
+              for h in enumerate_heaps(graph, k)}
+    columns = sorted(ranked, key=ranked.__getitem__)
     elements = []
-    for heap in super_lyndon_heaps(work, wk):
-        letters = super_letter_factors(heap)
+    for heap in columns:
+        if not is_super_lyndon_word(ranked[heap], odd):
+            continue
+        letters = super_letter_factors(heap, b)
         word = tuple(standard_word(l) for l in letters)
-        odd = {w for w, l in zip(word, letters) if l.parity()}
-        if not is_super_lyndon_word(word, odd):
+        odd_letters = {w for w, l in zip(word, letters) if l.parity()}
+        if not is_super_lyndon_word(word, odd_letters):
             raise ConsistencyError(
                 f"{heap!r} factors into super-letters but the word is not super Lyndon")
-        monomial = _word_tree(word, lambda w: left_normed(work.names[p] for p in w))
+        monomial = _word_tree(word, lambda w: left_normed(graph.names[p] for p in w))
         elements.append(BasisElement(heap, monomial,
-                                     expand_monomial(monomial, work), letters))
-    cert = _expansion_matrix(work, wk, [e.expansion for e in elements])
-    return GradedBasis(work, wk, tuple(elements), cert)
+                                     expand_monomial(monomial, graph), letters))
+    cert = _expansion_matrix(k, columns, [e.expansion for e in elements])
+    return GradedBasis(graph, k, tuple(elements), cert)
 
 
 def lambda_equals_e(heap: Heap) -> bool:
     """Whether a super-letter's factorization tree is its left-normed tree.
 
-    True exactly when the standard word a1...ar satisfies
-    a1 < ar <= a(r-1) <= ... <= a2; then the two expansions coincide.
-    (When false the trees differ but the expansions can still collide via
-    vanishing brackets of commuting pairs.)  The heap may live over any
-    order; its base is made least internally.
+    True exactly when, in the order that makes the base a1 least, the
+    standard word a1...ar has a1 < ar <= a(r-1) <= ... <= a2; then the two
+    expansions coincide.  A super-letter uses its base once, so a1 < ar
+    always holds, and the graph's order gives the same word and the same
+    comparisons of the other letters.  (When false the trees differ but
+    the expansions can still collide via vanishing brackets of commuting
+    pairs.)
     """
     if not heap.pieces:
         raise InputError("empty heap")
-    if not is_pyramid(heap):
+    if not is_pyramid(heap) or heap.weight()[heap.pieces[0][0]] != 1:
         raise InputError(f"{heap!r} is not a super-letter")
-    h = _transport(heap, _base_first_order(heap.graph, heap.pieces[0][0])[0])
-    if not is_super_letter(h):
-        raise InputError(f"{heap!r} is not a super-letter")
-    w = standard_word(h)
-    r = len(w)
-    if r <= 2:
-        return True
-    if not w[0] < w[r - 1]:
-        return False
-    return all(w[j] >= w[j + 1] for j in range(1, r - 1))
+    w = standard_word(heap)
+    return all(w[j] >= w[j + 1] for j in range(1, len(w) - 1))
 
 
 def span_membership(graph: Supergraph, letters, basis: GradedBasis) -> list[Fraction]:
-    """Exact coordinates of the left-normed word in a rank-certified basis."""
+    """Exact coordinates of the left-normed word over ``graph`` in a
+    rank-certified basis over that same graph."""
+    if graph is not basis.graph:
+        raise InputError("the word's graph is not the graph of the basis")
     monomial = left_normed(graph.names[graph.index(v)] for v in letters)
-    k = monomial.weight(basis.graph)
-    if k != tuple(basis.weight):
+    k = monomial.weight(graph)
+    if k != basis.weight:
         raise InputError(
-            f"word weight {k} does not match basis weight {tuple(basis.weight)} "
-            f"over vertices {', '.join(basis.graph.names)}")
+            f"word weight {k} does not match basis weight {basis.weight} "
+            f"over vertices {', '.join(graph.names)}")
     polys = [e.expansion for e in basis.elements]
-    polys.append(expand_monomial(monomial, basis.graph))
-    *columns, target = _dense_rows(basis.graph, basis.weight, polys)[1]
+    polys.append(expand_monomial(monomial, graph))
+    *columns, target = _dense_rows(enumerate_heaps(graph, k), polys)
     return solve_exact(columns, target)

@@ -18,8 +18,7 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
 from freeroots import heaps
-from freeroots.heaps import _transport
-from freeroots.supergraph import plain, support, _base_first_order
+from freeroots.supergraph import plain, support
 from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
 
@@ -638,16 +637,3 @@ def test_views_compare_by_graph_and_pieces(p4):
     c = heap_from_word(other, "1232")
     assert c._shared is twin and a != c and len({a, b, c, twin}) == 3
 
-
-def test_transport_moves_a_heap_between_orders(path6, p4_odd):
-    for graph, base in ((path6, "3"), (path6, "6"), (p4_odd, "2")):
-        work, order = _base_first_order(graph, base)
-        for k in ((1, 1, 1, 1), (2, 1, 0, 1), (0, 2, 1, 1)):
-            k = k + (1,) * (graph.n - 4)
-            for h in enumerate_heaps(graph, k):
-                moved = _transport(h, work)
-                assert moved.graph is work
-                assert moved.weight() == tuple(k[o] for o in order)
-                assert sorted((order[p], lvl) for p, lvl in moved.pieces) == \
-                    sorted(h.pieces)
-                assert _transport(moved, graph) == h

@@ -6,21 +6,27 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from freeroots import InputError, ConsistencyError, Supergraph
-from freeroots.heaps import (heap_from_word, single, superpose, sort_key,
-                             standard_word, enumerate_heaps,
+from freeroots import InputError, ConsistencyError, Supergraph, clear_caches
+from freeroots.heaps import (heap_from_word, heap_from_pieces, single, superpose,
+                             sort_key, standard_word, enumerate_heaps,
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
-                             classify, heaps_up_to, is_super_letter)
-from freeroots import supergraph, superlie
-from freeroots.supergraph import _base_first_order
-from freeroots.supergraph import is_connected_support, support, weights_up_to, load_graph
+                             classify, heaps_up_to, is_pyramid, _base_first_word)
+from freeroots import heaps
+from freeroots.supergraph import (is_connected_support, support, weights_up_to,
+                                  load_graph, plain)
 from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, expand_monomial,
                                 leaf, bracket, left_normed, lambda_monomial,
                                 _expand_lambda, lyndon_heap_basis,
                                 super_letter_alphabet, lln_basis,
-                                lambda_equals_e, span_membership,
+                                lambda_equals_e, span_membership, rewriting_sign,
                                 integer_rank, solve_exact, signed_superpose)
 from test_golden import BASIS_WEIGHTS, ROOT
+
+
+def base_first(graph, base):
+    """The graph relabelled so that ``base`` is least, the rest in order."""
+    b = graph.index(base)
+    return graph.with_order([b] + [i for i in range(graph.n) if i != b])
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +197,7 @@ def test_grade_space_dimension_matches_left_normed_span(path6):
     This is the sharpest consistency check of the signed product: with a
     wrong sign anywhere the left-normed words span too much.
     """
-    from freeroots.superlie import _base_first_order
-    work, _ = _base_first_order(path6, "3")
+    work = base_first(path6, "3")
     for wk in ((2, 0, 0, 1, 2, 1), (1, 0, 0, 1, 1, 1), (2, 0, 0, 2, 2, 0)):
         heaps = enumerate_heaps(work, wk)
         idx = {h: i for i, h in enumerate(heaps)}
@@ -209,8 +214,7 @@ def test_grade_space_dimension_matches_left_normed_span(path6):
 
 def test_left_normed_rewriting_identity(path6):
     """A left-normed word rewrites into base-anchored left-normed words."""
-    from freeroots.superlie import _base_first_order
-    work, _ = _base_first_order(path6, "3")
+    work = base_first(path6, "3")
     lhs = expand_monomial(left_normed("456353"), work)
     combo = (expand_monomial(left_normed("345653"), work)
              - expand_monomial(left_normed("354653"), work)
@@ -432,6 +436,84 @@ def test_dimension_agreement_small():
             assert lln_basis(g, k, base).certificate.rank == d
 
 
+def _small_supergraphs():
+    """Every supergraph on the vertices a, b, c, ... (1 to 3 of them), every psi."""
+    for n in (1, 2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                for s in range(n + 1):
+                    for psi in itertools.combinations(range(n), s):
+                        yield Supergraph("abc"[:n], edges, psi=psi)
+
+
+def test_lln_basis_matches_the_relabelled_graph():
+    """The relabelled graph, with its base least, is the reference.
+
+    Words, monomials, letters and certificates agree.  Expansions are over
+    the graph's own heap basis: each heap's coefficient is the reference's
+    times the sign of rewriting the heap's standard word into its word in
+    the reference order.
+    """
+    triples = terms = flips = 0
+    for g in _small_supergraphs():
+        for k in itertools.product(range(4), repeat=g.n):
+            if not 0 < sum(k) <= 6 or not is_connected_support(g, k):
+                continue
+            for base in (g.names[p] for p in support(k)):
+                ref_graph = base_first(g, base)
+                back = [g.index(v) for v in ref_graph.names]  # reference position -> g's
+                got = lln_basis(g, k, base)
+                ref = lln_basis(ref_graph, tuple(k[p] for p in back), base)
+                assert got.graph is g and got.weight == k
+                assert [e.word() for e in got.elements] == [e.word() for e in ref.elements]
+                assert got.monomial_strings() == ref.monomial_strings()
+                assert [[l.word() for l in e.letters] for e in got.elements] == \
+                    [[l.word() for l in e.letters] for e in ref.elements]
+                assert got.certificate == ref.certificate
+                for e, r in zip(got.elements, ref.elements):
+                    expected = {}
+                    for h, c in r.expansion.terms.items():
+                        heap = heap_from_pieces(g, [(back[p], lvl) for p, lvl in h.pieces])
+                        word = [back[p] for p in standard_word(h)]
+                        sign = rewriting_sign(g, standard_word(heap), word)
+                        expected[heap] = sign * c
+                        flips += sign < 0
+                    assert e.expansion.terms == expected, (g, k, base, e.word())
+                    terms += len(expected)
+                triples += 1
+    assert triples == 4062 and terms == 96483 and flips == 951
+
+
+@pytest.mark.parametrize("path, weight", [
+    (path, weight) for path, weights in BASIS_WEIGHTS.items() for weight in weights])
+def test_lln_and_lyndon_bases_span_each_other(path, weight):
+    """Both bases expand over one heap basis, so each solves in the other."""
+    graph, _ = load_graph(os.path.join(ROOT, path))
+    k = tuple(map(int, weight.split(",")))
+    heaps_of_k = enumerate_heaps(graph, k)
+
+    def coordinates(basis):
+        return [[e.expansion.coefficient(h) for h in heaps_of_k] for e in basis.elements]
+
+    lyndon = coordinates(lyndon_heap_basis(graph, k))
+    bases = [base for base in ("3", "5") if k[graph.index(base)]]
+    assert bases
+    for base in bases:
+        lln = coordinates(lln_basis(graph, k, base))
+        assert len(lln) == len(lyndon)
+        for columns, targets in ((lyndon, lln), (lln, lyndon)):
+            for target in targets:
+                solve_exact(columns, target)
+
+
+def test_lln_basis_interns_only_over_the_callers_graph(path6):
+    clear_caches()
+    basis = lln_basis(path6, (0, 1, 2, 1, 1, 0), "5")
+    assert basis.graph is path6 and basis.weight == (0, 1, 2, 1, 1, 0)
+    assert set(heaps._REGISTRY) <= {path6, plain(path6)}
+
+
 # ---------------------------------------------------------------------------
 # Lambda versus left-normed reading of super-letters.
 
@@ -460,8 +542,7 @@ def test_lambda_equals_e_true_implies_equal_expansions(path6):
     general and the converse is pinned on the acceptance examples, where
     it does hold.
     """
-    from freeroots.superlie import _base_first_order
-    work, _ = _base_first_order(path6, "3")
+    work = base_first(path6, "3")
     seen_true = seen_false = 0
     for w, heaps in heaps_up_to(work, (1, 0, 2, 2, 2, 2)).items():
         if w[0] != 1 or sum(w) < 2 or sum(w) > 5:
@@ -486,8 +567,7 @@ def test_lambda_equals_e_is_the_tree_level_comparison(path6):
     trees differ (the discrepancies are brackets of commuting pairs, which
     vanish), so the faithful exhaustive biconditional is about trees.
     """
-    from freeroots.superlie import _base_first_order
-    work, _ = _base_first_order(path6, "3")
+    work = base_first(path6, "3")
     for w, heaps in heaps_up_to(work, (1, 0, 2, 2, 2, 2)).items():
         if w[0] != 1 or not 2 <= sum(w) <= 6:
             continue
@@ -502,8 +582,7 @@ def test_lambda_equals_e_is_the_tree_level_comparison(path6):
 def test_lambda_equals_e_counterexample_to_element_level_converse(path6):
     # 3455 fails the word condition yet both readings expand equally:
     # the difference is a bracket of the commuting odd pair {3,5}
-    from freeroots.superlie import _base_first_order
-    work, _ = _base_first_order(path6, "3")
+    work = base_first(path6, "3")
     h = heap_from_word(work, "3455")
     assert not lambda_equals_e(h)
     assert _expand_lambda(h) == expand_monomial(left_normed("3455"), work)
@@ -550,12 +629,21 @@ def test_span_membership_refuses_wrong_weight_before_expanding(path6, monkeypatc
 
 
 def test_span_membership_names_both_weights_in_the_basis_order(path6):
-    # the LLN basis lives in the order that makes its base least
+    # an LLN basis lives over the caller's graph, whatever its base
     basis = lln_basis(path6, (0, 0, 2, 1, 2, 1), "5")
     with pytest.raises(InputError) as err:
         span_membership(path6, list("4563"), basis)
-    assert str(err.value) == ("word weight (1, 0, 0, 1, 1, 1) does not match basis "
-                              "weight (2, 0, 0, 2, 1, 1) over vertices 5, 1, 2, 3, 4, 6")
+    assert str(err.value) == ("word weight (0, 0, 1, 1, 1, 1) does not match basis "
+                              "weight (0, 0, 2, 1, 2, 1) over vertices 1, 2, 3, 4, 5, 6")
+
+
+def test_span_membership_refuses_a_word_over_another_graph():
+    g = Supergraph(["1", "2", "3"], [(0, 1), (1, 2)], psi=["2"])
+    basis = lyndon_heap_basis(g, (1, 1, 0))
+    assert span_membership(g, "12", basis) == [Fraction(1)]
+    # 1 and 2 commute in the edgeless graph, so "12" means another element there
+    with pytest.raises(InputError):
+        span_membership(Supergraph(["1", "2", "3"]), "12", basis)
 
 
 def test_bracket_closure_below_larger_factor(edge36):
@@ -757,14 +845,17 @@ def test_certificates_pivot_on_the_least_heaps(path, weight):
     assert basis.certificate.pivot_columns == tuple(
         sorted(column[e.heap] for e in basis.elements))
     for base in support(k):
+        # an lln certificate's columns are the heaps in the order that makes the base least
+        b = graph.index(base)
+        order = lambda h: tuple(-1 if p == b else p for p in _base_first_word(h, b))
         basis = lln_basis(graph, k, base)
-        column = {h: i for i, h in enumerate(enumerate_heaps(basis.graph, basis.weight))}
+        column = {h: i for i, h in enumerate(sorted(enumerate_heaps(graph, k), key=order))}
         assert basis.certificate.pivot_columns == tuple(
-            sorted(column[e.expansion.leading()[0]] for e in basis.elements))
+            sorted(column[min(e.expansion.terms, key=order)] for e in basis.elements))
 
 
 # ---------------------------------------------------------------------------
-# Monomial shape and the one base-first reordering.
+# Monomial shape.
 
 @pytest.mark.parametrize("kwargs", [
     {"name": "a", "left": leaf("b")},
@@ -779,18 +870,11 @@ def test_monomial_is_a_bare_name_or_two_children(kwargs):
         LieMonomial(**kwargs)
 
 
-def test_base_first_order_lists_old_indices(path6):
-    work, order = _base_first_order(path6, "3")
-    assert order == (2, 0, 1, 3, 4, 5)
-    assert work is path6.with_order(order)
-    assert work.names == tuple(path6.names[o] for o in order)
-    assert _base_first_order(path6, 0) == (path6, tuple(range(6)))
-    assert superlie._base_first_order is supergraph._base_first_order
-
-
 def test_super_letter_alphabet_ignores_the_cap_at_the_base(path6):
     alphabets = {super_letter_alphabet(path6, "3", (0, 1, c, 2, 2, 1)) for c in (0, 1, 3)}
     assert len(alphabets) == 1
     (alphabet,) = alphabets
     assert len(alphabet) > 10
-    assert all(h.weight()[0] == 1 and is_super_letter(h) for h in alphabet)
+    # pyramids on vertex "3" that use it once, over the caller's graph
+    assert all(h.graph is path6 and h.weight()[2] == 1 and is_pyramid(h)
+               and h.pieces[0][0] == 2 for h in alphabet)
