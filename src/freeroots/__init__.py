@@ -24,8 +24,7 @@ from .superlie import (LieMonomial, leaf, bracket, left_normed,
                        span_membership, GradedBasis, RankCertificate)
 from .chromatic import (RationalPoly, chromatic_poly_simple,
                         linear_coefficient, k_chromatic_direct,
-                        k_chromatic_join, k_chromatic_bond, bond_lattice,
-                        binomial_poly, choose_q)
+                        k_chromatic_join, k_chromatic_bond, bond_lattice)
 from .multiplicity import (mult_free_root, free_roots_up_to,
                            MultiplicityTable, MultRecord, verify_pbw,
                            verify_cartier_foata, moebius,

@@ -7,14 +7,14 @@ C(q, m): directly, as counts of ordered m-tuples of independent sets; by the
 clique-join graph, as m! times its partitions into m independent blocks; by
 the bond-lattice expansion, whose coefficients are root multiplicities, as
 forward differences of its values at q = 0..ht(k).  Only ``_from_binomial``
-builds a polynomial.  The routes must agree, as tuples with trailing zeros
-dropped, and the tests and ``verify all`` enforce that.
+builds a polynomial, for output: one integer conversion to the monomial
+basis, then one Fraction per coefficient.  The routes must agree, as tuples
+with trailing zeros dropped, and the tests and ``verify all`` enforce that.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import Counter
@@ -27,7 +27,8 @@ from .supergraph import Supergraph, plain, check_weight, support, ht, \
 
 
 class RationalPoly:
-    """Univariate polynomial in q with exact rational coefficients."""
+    """Univariate polynomial in q with exact rational coefficients: the
+    routes' output value, which compares, evaluates and prints."""
 
     __slots__ = ("coeffs",)
 
@@ -36,18 +37,6 @@ class RationalPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def q(cls):
-        return cls((0, 1))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -63,33 +52,6 @@ class RationalPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPoly(tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0))))
-
-    def __neg__(self):
-        return RationalPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * (Fraction(1) / Fraction(scalar))
-
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
@@ -101,10 +63,6 @@ class RationalPoly:
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(Fraction(s) for s in data)
 
     def pretty(self) -> str:
         if not self.coeffs:
@@ -167,19 +125,6 @@ def _divide_linear(poly: RationalPoly, root: int) -> tuple[RationalPoly, Fractio
     return RationalPoly(reversed(out)), remainder
 
 
-def binomial_poly(arg: RationalPoly, d: int) -> RationalPoly:
-    """C(arg, d) = arg (arg-1) ... (arg-d+1) / d! as a polynomial in q."""
-    out = RationalPoly.one()
-    for j in range(d):
-        out = out * (arg - RationalPoly((j,)))
-    return out / math.factorial(d)
-
-
-@functools.lru_cache(maxsize=None)
-def choose_q(d: int) -> RationalPoly:
-    return binomial_poly(RationalPoly.q(), d)
-
-
 def _trimmed(counts) -> tuple[int, ...]:
     """The coefficient tuple without trailing zeros, so equal polynomials match."""
     counts = list(counts)
@@ -189,12 +134,22 @@ def _trimmed(counts) -> tuple[int, ...]:
 
 
 def _from_binomial(counts) -> RationalPoly:
-    """sum_m counts[m] * C(q, m), the one place a route builds a polynomial."""
-    out = RationalPoly.zero()
+    """sum_m counts[m] * C(q, m), the one place a route builds a polynomial.
+
+    With F = M! for the top index M, F * C(q, m) = (F / m!) q(q-1)...(q-m+1)
+    has integer coefficients, so the sum runs in integers and each monomial
+    coefficient is one Fraction over F.
+    """
+    scale = math.factorial(max(len(counts) - 1, 0))
+    acc = [0] * len(counts)
+    falling = [1]  # q(q-1)...(q-m+1), lowest degree first
     for m, cnt in enumerate(counts):
         if cnt:
-            out = out + choose_q(m) * cnt
-    return out
+            cnt *= scale // math.factorial(m)
+            for i, f in enumerate(falling):
+                acc[i] += cnt * f
+        falling = [a - m * b for a, b in zip((0, *falling), (*falling, 0))]
+    return RationalPoly(Fraction(a, scale) for a in acc)
 
 
 def _choose(n: int, d: int) -> int:

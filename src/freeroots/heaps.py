@@ -485,15 +485,18 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
     minimal piece of each remaining heap, and a prefix of a linearization
     is a down-set, so each piece is a pyramid on the base that uses it once.
     """
-    graph = heap.graph
-    b = 0 if base is None else graph.index(base)
-    word = _base_first_word(heap, b)
+    b = 0 if base is None else heap.graph.index(base)
+    return _cut_super_letters(heap, _base_first_word(heap, b), b)
+
+
+def _cut_super_letters(heap: Heap, word, b: int) -> tuple[Heap, ...]:
+    """:func:`super_letter_factors` of ``heap`` from its base-first ``word``."""
     cuts = [i for i, p in enumerate(word) if p == b]
     if not cuts:
         raise InputError("no piece on the base vertex")
     if cuts[0]:
         raise InputError(f"{heap!r} is not a product of super-letters")
-    return tuple(heap_from_word(graph, word[i:j])
+    return tuple(heap_from_word(heap.graph, word[i:j])
                  for i, j in zip(cuts, cuts[1:] + [len(word)]))
 
 

@@ -27,8 +27,8 @@ from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, superpose, single, standard_word, sort_key,
                     enumerate_heaps, super_lyndon_heaps, is_pyramid,
-                    super_letter_factors, heaps_up_to, is_super_lyndon_word,
-                    word_standard_factorization, _base_first_word, _spell)
+                    heaps_up_to, is_super_lyndon_word, word_standard_factorization,
+                    _base_first_word, _cut_super_letters, _spell)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +447,14 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
         raise InputError(f"base vertex {graph.names[b]!r} is not in the support")
     rank = [-1 if p == b else p for p in range(graph.n)]  # the base least
     odd = {rank[p] for p in graph.psi}
-    ranked = {h: tuple(rank[p] for p in _base_first_word(h, b))
-              for h in enumerate_heaps(graph, k)}
+    words = {h: _base_first_word(h, b) for h in enumerate_heaps(graph, k)}
+    ranked = {h: tuple(rank[p] for p in w) for h, w in words.items()}
     columns = sorted(ranked, key=ranked.__getitem__)
     elements = []
     for heap in columns:
         if not is_super_lyndon_word(ranked[heap], odd):
             continue
-        letters = super_letter_factors(heap, b)
+        letters = _cut_super_letters(heap, words[heap], b)
         word = tuple(standard_word(l) for l in letters)
         odd_letters = {w for w, l in zip(word, letters) if l.parity()}
         if not is_super_lyndon_word(word, odd_letters):

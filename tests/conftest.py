@@ -1,5 +1,7 @@
+import math
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -91,3 +93,24 @@ def tree6_matrix():
 @pytest.fixture(scope="session")
 def path6_matrix():
     return PATH6_MATRIX
+
+
+# Polynomials as Fraction coefficient lists, lowest degree first: the test
+# side's own arithmetic, independent of the library's conversion.
+
+def fraction_product(*factors) -> list[Fraction]:
+    """The product of polynomials given as coefficient sequences."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def fraction_binomial(arg, d: int) -> list[Fraction]:
+    """C(arg, d) = arg (arg-1) ... (arg-d+1) / d!, arg a coefficient sequence."""
+    falling = fraction_product(*([arg[0] - j, *arg[1:]] for j in range(d)))
+    return [c / math.factorial(d) for c in falling]

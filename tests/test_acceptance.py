@@ -16,13 +16,14 @@ from freeroots.heaps import (heap_from_word, enumerate_heaps, sort_key,
                              standard_factorization, decompositions, is_lyndon)
 from freeroots.superlie import (lyndon_heap_basis, lln_basis, lambda_equals_e,
                                 _expand_lambda)
-from freeroots.chromatic import (RationalPoly, binomial_poly, choose_q,
-                                 k_chromatic_direct, k_chromatic_bond)
+from freeroots.chromatic import (RationalPoly, k_chromatic_direct,
+                                 k_chromatic_bond)
 from freeroots.multiplicity import mult_free_root, verify_pbw, \
     verify_cartier_foata
 from freeroots.cli import run_verification_suite
 
 from conftest import TREE6_MATRIX  # noqa: F401  (documents the matrix source)
+from conftest import fraction_binomial, fraction_product
 
 
 def _report(tag, ok, elapsed, budget):
@@ -47,7 +48,8 @@ def test_c01_odd_root_multiplicity_three():
     g = _tree6()
     k = (0, 0, 3, 0, 0, 3)
     poly = k_chromatic_direct(g, k)
-    expected = choose_q(3) * binomial_poly(RationalPoly((-3, 1)), 3)
+    expected = RationalPoly(fraction_product(fraction_binomial((0, 1), 3),
+                                             fraction_binomial((-3, 1), 3)))
     records = mult_free_root(g, k, "both")
     heap_count = len(super_lyndon_heaps(g, k))
     ok = (poly == expected and records.recursion == 3
@@ -62,10 +64,8 @@ def test_c02_even_root_multiplicity_one():
     g = _tree6()
     k = (2, 1, 0, 1, 2, 0)
     poly = k_chromatic_direct(g, k)
-    q = RationalPoly.q()
-    one = RationalPoly.one()
-    expected = q * (q - one) * (q - one) * (q - one) * \
-        (q - one * 2) * (q - one * 2) / 4
+    q_minus = [(-r, 1) for r in (0, 1, 1, 1, 2, 2)]  # q(q-1)^3(q-2)^2
+    expected = RationalPoly(c / 4 for c in fraction_product(*q_minus))
     # the weight uses the real vertex 1 twice, so its multiplicity lives in
     # the plain regime where the grade space carries no Serre relations
     plain = Supergraph(g.names, tuple(g.edges), psi=sorted(g.psi))

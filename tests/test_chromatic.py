@@ -1,23 +1,26 @@
 import collections
 import itertools
+import math
 import os
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph
-from freeroots.chromatic import (RationalPoly, binomial_poly, choose_q,
-                                 chromatic_poly_simple, k_chromatic_direct,
-                                 k_chromatic_join, k_chromatic_bond,
-                                 bond_lattice,
+from freeroots.chromatic import (RationalPoly, chromatic_poly_simple,
+                                 k_chromatic_direct, k_chromatic_join,
+                                 k_chromatic_bond, bond_lattice,
                                  linear_coefficient, _nonempty_independent_sets,
-                                 _choose, _tuple_counts, _join_counts,
-                                 _bond_counts)
+                                 _choose, _from_binomial, _tuple_counts,
+                                 _join_counts, _bond_counts)
 from freeroots.multiplicity import mult_free_root
 from freeroots.supergraph import (ht, is_connected_support, is_free_weight,
                                   support, independent_sets, load_graph, plain,
                                   weight_parity)
+
+from conftest import fraction_binomial, fraction_product
 
 SAMPLE_GRAPHS = os.path.join(os.path.dirname(__file__), "..", "sample_graphs")
 
@@ -34,57 +37,58 @@ def graphs_up_to_4_and_samples():
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic.
+# The output polynomial and the one conversion that builds it.
 
-def test_poly_basics():
-    q = RationalPoly.q()
-    p = q * q - q * 3 + RationalPoly.one()
-    assert p.coefficient(2) == 1 and p.coefficient(1) == -3 and p.coefficient(0) == 1
-    assert p(3) == 1
-    assert (p - p) == RationalPoly.zero()
-    assert p.degree() == 2
-    assert RationalPoly.zero().degree() == -1
-
-
-def test_poly_division_and_json():
-    p = RationalPoly((1, 2, 3)) / 2
-    assert p.coefficient(0) == Fraction(1, 2)
-    assert RationalPoly.from_json(p.to_json()) == p
-
-
-def test_choose_q():
-    assert choose_q(0) == RationalPoly.one()
-    assert choose_q(1) == RationalPoly.q()
-    c2 = choose_q(2)
-    assert all(c2(m) == m * (m - 1) // 2 for m in range(8))
-
-
-def test_binomial_poly_negative_argument():
-    minus_q = RationalPoly((0, -1))
-    c = binomial_poly(minus_q, 2)  # C(-q, 2) = q(q+1)/2
-    assert all(c(m) == m * (m + 1) // 2 for m in range(8))
+def test_output_poly_reads_evaluates_and_serializes():
+    p = RationalPoly((1, -3, 1, 0))  # q^2 - 3q + 1, the trailing zero dropped
+    assert p.coeffs == (1, -3, 1) and p.degree() == 2
+    assert p.coefficient(1) == -3 and p.coefficient(5) == 0
+    assert p(3) == 1 and p(Fraction(1, 2)) == Fraction(-1, 4)
+    assert RationalPoly(()).degree() == -1 and not RationalPoly((0, 0))
+    half = RationalPoly((Fraction(1, 2), 1, Fraction(3, 2)))
+    assert half.to_json() == ["1/2", "1", "3/2"]
+    assert half.pretty() == "3/2*q^2 + q + 1/2"
+    same = RationalPoly(("1/2", 1, 1.5))
+    assert same == half and hash(same) == hash(half)
 
 
 def test_factored_display():
-    q = RationalPoly.q()
-    p = q * (q - RationalPoly.one()) * (q - RationalPoly.one())
+    p = RationalPoly((0, 1, -2, 1))  # q(q-1)^2
     assert p.factored() == "q(q-1)^2"
     assert RationalPoly((1, 1)).factored() is None  # root at -1
 
 
 def test_factored_nonzero_constant_is_its_value():
-    assert RationalPoly.one().factored() == "1"
+    assert RationalPoly((1,)).factored() == "1"
     assert RationalPoly((2,)).factored() == "2"
     assert RationalPoly((-1,)).factored() == "-1"
     assert RationalPoly((Fraction(1, 2),)).factored() == "1/2"
     assert RationalPoly(()).factored() is None
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from((-1, 0, 1)),
+                max_size=10))
+def test_from_binomial_is_the_binomial_sum(counts):
+    """Signed counts too: the bond route's values can be negative."""
+    counts = tuple(counts)
+    poly = _from_binomial(counts)
+    expected = [Fraction(0)] * len(counts)
+    for m, c in enumerate(counts):
+        for i, b in enumerate(fraction_binomial((0, 1), m)):
+            expected[i] += c * b
+    assert poly == RationalPoly(expected)
+    top = max((m for m, c in enumerate(counts) if c), default=-1)
+    assert poly.degree() == top
+    for x in range(len(counts) + 2):
+        assert poly(x) == sum(c * math.comb(x, m) for m, c in enumerate(counts))
+
+
 # ---------------------------------------------------------------------------
 # Classical chromatic polynomials.
 
 def test_simple_small_graphs():
-    assert chromatic_poly_simple(Supergraph(["a"])) == RationalPoly.q()
+    assert chromatic_poly_simple(Supergraph(["a"])) == RationalPoly((0, 1))
     edge = chromatic_poly_simple(Supergraph(["a", "b"], [(0, 1)]))
     assert edge.factored() == "q(q-1)"
     tri = chromatic_poly_simple(Supergraph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)]))
@@ -107,23 +111,22 @@ def test_simple_counts_colorings():
 
 def test_direct_two_blocks(edge36):
     poly = k_chromatic_direct(edge36, (3, 3))
-    expected = choose_q(3) * binomial_poly(RationalPoly((-3, 1)), 3)
-    assert poly == expected
+    expected = fraction_product(fraction_binomial((0, 1), 3),
+                                fraction_binomial((-3, 1), 3))
+    assert poly == RationalPoly(expected)
 
 
 def test_direct_multf0_value(tree6):
     poly = k_chromatic_direct(tree6, (2, 1, 0, 1, 2, 0))
-    q = RationalPoly.q()
-    one = RationalPoly.one()
-    expected = q * (q - one) * (q - one) * (q - one) * (q - one * 2) * (q - one * 2) / 4
-    assert poly == expected
+    q_minus = [(-r, 1) for r in (0, 1, 1, 1, 2, 2)]  # q(q-1)^3(q-2)^2
+    assert poly == RationalPoly(c / 4 for c in fraction_product(*q_minus))
     assert poly.factored() == "1/4 * q(q-1)^3(q-2)^2"
 
 
 def test_direct_single_vertex():
     g = Supergraph(["v"])
     for m in range(1, 6):
-        assert k_chromatic_direct(g, (m,)) == choose_q(m)
+        assert k_chromatic_direct(g, (m,)) == RationalPoly(fraction_binomial((0, 1), m))
 
 
 def test_direct_counts_multicolorings(p4):
@@ -145,8 +148,8 @@ def test_direct_counts_multicolorings(p4):
 
 
 def test_zero_weight_is_one(p4):
-    assert k_chromatic_direct(p4, (0, 0, 0, 0)) == RationalPoly.one()
-    assert k_chromatic_join(p4, (0, 0, 0, 0)) == RationalPoly.one()
+    assert k_chromatic_direct(p4, (0, 0, 0, 0)) == RationalPoly((1,))
+    assert k_chromatic_join(p4, (0, 0, 0, 0)) == RationalPoly((1,))
 
 
 def test_join_equals_direct_examples(edge36, tree6):
@@ -293,7 +296,7 @@ def test_bond_route_examples(tree6_plain, edge36):
 
 def test_bond_route_singleton():
     g = Supergraph(["v"])
-    assert k_chromatic_bond(g, (1,)) == RationalPoly.q()
+    assert k_chromatic_bond(g, (1,)) == RationalPoly((0, 1))
 
 
 def test_bond_route_even_regime_has_no_negative_binomials():
@@ -306,7 +309,7 @@ def test_bond_route_even_regime_has_no_negative_binomials():
 def test_bond_route_square_of_odd_root():
     g = Supergraph(["v"], psi=["v"])
     poly = k_chromatic_bond(g, (2,))
-    assert poly == choose_q(2)
+    assert poly == RationalPoly((0, Fraction(-1, 2), Fraction(1, 2)))  # C(q, 2)
 
 
 def test_bond_route_rejects_non_free():
@@ -317,22 +320,24 @@ def test_bond_route_rejects_non_free():
 
 def fraction_bond(graph, k, mult):
     """The bond-lattice expansion as a sum of ``Fraction`` polynomial
-    products: the route ``k_chromatic_bond`` replaced, kept as its oracle."""
+    products: the route ``k_chromatic_bond`` replaced, kept as its oracle.
+    A partition into D blocks gives a term of degree D <= ht(k)."""
     if not any(k):
-        return RationalPoly.one()
-    total = RationalPoly.zero()
+        return RationalPoly((1,))
+    total = [Fraction(0)] * (ht(k) + 1)
     for partition in bond_lattice(graph, k):
         nblocks = len(partition)
         nodd = sum(1 for b in partition if weight_parity(graph, b) == 1)
-        term = RationalPoly.one()
+        factors = []
         for block, d in sorted(collections.Counter(partition).items()):
             m = mult(block)
             scale = m if weight_parity(graph, block) == 0 else -m
-            term = term * binomial_poly(RationalPoly((0, scale)), d)
+            factors.append(fraction_binomial((0, scale), d))
         sign = -1 if (nblocks + nodd) % 2 else 1
-        total = total + term * sign
+        for i, c in enumerate(fraction_product(*factors)):
+            total[i] += sign * c
     sign = -1 if ht(k) % 2 else 1
-    return total * sign
+    return RationalPoly(sign * c for c in total)
 
 
 def supergraphs_up_to_3():
@@ -381,7 +386,8 @@ def test_routes_agree_as_integer_tuples():
         assert direct == join == bond and direct[-1], (graph, k)
 
 
-def test_integer_choose_matches_binomial_poly():
+def test_integer_choose_matches_falling_factorial():
     for n in range(-6, 7):
         for d in range(6):
-            assert RationalPoly((_choose(n, d),)) == binomial_poly(RationalPoly((n,)), d), (n, d)
+            expected = math.prod(n - j for j in range(d)) // math.factorial(d)
+            assert _choose(n, d) == expected, (n, d)

@@ -338,8 +338,8 @@ def test_json_round_trip(tree6_file, capsys):
                                   "--weight", "0,0,1,0,0,1"])
     assert code == 0
     from freeroots.chromatic import RationalPoly
-    poly = RationalPoly.from_json(doc["result"]["coefficients"])
-    assert poly.to_json() == doc["result"]["coefficients"]
+    coefficients = doc["result"]["coefficients"]
+    assert RationalPoly(coefficients).to_json() == coefficients
 
 
 # ---------------------------------------------------------------------------
