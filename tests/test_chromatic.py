@@ -39,17 +39,43 @@ def graphs_up_to_4_and_samples():
 # ---------------------------------------------------------------------------
 # The output polynomial and the one conversion that builds it.
 
-def test_output_poly_reads_evaluates_and_serializes():
+def test_poly_basics():
     p = RationalPoly((1, -3, 1, 0))  # q^2 - 3q + 1, the trailing zero dropped
     assert p.coeffs == (1, -3, 1) and p.degree() == 2
     assert p.coefficient(1) == -3 and p.coefficient(5) == 0
     assert p(3) == 1 and p(Fraction(1, 2)) == Fraction(-1, 4)
     assert RationalPoly(()).degree() == -1 and not RationalPoly((0, 0))
+
+
+def test_output_poly_serializes_and_hashes():
     half = RationalPoly((Fraction(1, 2), 1, Fraction(3, 2)))
     assert half.to_json() == ["1/2", "1", "3/2"]
     assert half.pretty() == "3/2*q^2 + q + 1/2"
     same = RationalPoly(("1/2", 1, 1.5))
     assert same == half and hash(same) == hash(half)
+
+
+def test_choose_q():
+    """C(q, m) is the unit binomial count at m."""
+    def unit(m):
+        return _from_binomial((0,) * m + (1,))
+    assert unit(0) == RationalPoly((1,))
+    assert unit(1) == RationalPoly((0, 1))
+    assert all(unit(2)(m) == m * (m - 1) // 2 for m in range(8))
+
+
+def test_binomial_poly_negative_argument():
+    """C(-q, 2) = q(q+1)/2, built as the bond route builds an odd block's
+    factor: integer values at q = 0..2, their forward differences, one
+    conversion."""
+    values = [_choose(-q, 2) for q in range(8)]
+    assert values == [m * (m + 1) // 2 for m in range(8)]
+    counts = []
+    diffs = values[:3]
+    while diffs:
+        counts.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    assert _from_binomial(counts) == RationalPoly((0, Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_factored_display():
