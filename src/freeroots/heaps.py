@@ -16,7 +16,8 @@ Lyndon word; its standard factorization is the word's split; and its
 super-letter factors are the pieces of its word in the order that makes
 the base least, cut before each base letter.  Conjugacy classes and
 decompositions stay public, and square roots are searched for in the test
-suite, as the definitions the word rules are checked against.
+suite, as the definitions the word rules are checked against.  Enumeration
+is a depth-first search over standard words: each heap once, ascending.
 
 A heap lives on the adjacency; psi only gives its letters a parity.  Every
 heap is interned in one pool per graph, and a heap over a graph with psi,
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 from .errors import InputError
-from .supergraph import Supergraph, plain, check_weight, support, weight_gcd, \
+from .supergraph import Supergraph, plain, check_weight, weight_gcd, \
     divide_weight, is_connected_support, weights_up_to
 
 
@@ -214,17 +216,49 @@ def sort_key(heap: Heap) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
+def _standard_words(graph: Supergraph, cap, base: int = 0):
+    """Walk, ascending, the words of content <= cap greatest in their class.
+
+    In the order that makes ``base`` least, those are the words with no
+    letter that commutes left past a smaller one; they are prefix-closed,
+    so only the last letter is checked.  Each node yields the word (one
+    list, reused) and the index of its content in ``weights_up_to(cap)``.
+    """
+    zeta, order = graph.zeta, sorted(range(graph.n), key=base.__ne__)  # base first
+    rank = [order.index(p) for p in range(graph.n)]
+    stride = [math.prod(c + 1 for c in cap[i + 1:]) for i in range(graph.n)]
+    word, stack = [], [(iter(order), 0)]
+    yield word, 0
+    while stack:
+        letters, code = stack[-1]
+        for b in letters:
+            if code // stride[b] % (cap[b] + 1) == cap[b]:
+                continue  # no b left
+            i = len(word) - 1
+            while i >= 0 and not zeta[b] >> word[i] & 1 and rank[word[i]] > rank[b]:
+                i -= 1
+            if i < 0 or zeta[b] >> word[i] & 1:  # b passes no smaller letter
+                word.append(b)
+                stack.append((iter(order), code + stride[b]))
+                yield word, code + stride[b]
+                break
+        else:
+            stack.pop()
+            del word[-1:]
+
+
+def _heaps_with_words(graph: Supergraph, k, base: int = 0) -> list[tuple[Heap, tuple]]:
+    """Heaps of weight k, ascending, with their words in ``base``-least order."""
+    return [(_drop(graph, (), word), tuple(word))
+            for word, _ in _standard_words(graph, k, base) if len(word) == sum(k)]
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
-    if not any(k):
-        return (empty_heap(graph),)
-    found = set()
-    for i in support(k):
-        smaller = list(k)
-        smaller[i] -= 1
-        for h in _enumerate_plain(graph, tuple(smaller)):
-            found.add(_superpose_plain(h, single(graph, i)))
-    return tuple(sorted(found, key=sort_key))
+    found = _heaps_with_words(graph, k)
+    for heap, word in found:
+        heap._st = word
+    return tuple(heap for heap, _ in found)
 
 
 def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
@@ -234,9 +268,13 @@ def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
 
 
 def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
-    """Heaps for every weight componentwise <= cap, keyed by weight."""
+    """Heaps for every weight componentwise <= cap, keyed by weight, from one
+    walk: a prefix of a standard word is the standard word of its heap."""
     cap = check_weight(graph, cap)
-    return {w: enumerate_heaps(graph, w) for w in weights_up_to(cap)}
+    table = [[] for _ in weights_up_to(cap)]
+    for word, code in _standard_words(graph, cap):
+        table[code].append(_drop(graph, (), word))
+    return dict(zip(weights_up_to(cap), map(tuple, table)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ checked wherever both are computed.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, plain, check_weight, support, \
     weight_parity, weight_gcd, divide_weight, _is_free, _is_connected, \
     independent_sets, weights_up_to
-from .heaps import enumerate_heaps, super_lyndon_heaps
+from .heaps import enumerate_heaps, super_lyndon_heaps, _standard_words
 from .chromatic import linear_coefficient, _linear_plain
 
 
@@ -202,7 +203,9 @@ def _series_mul(a: dict, b: dict, cap) -> dict:
 
 
 def _heap_counts(graph: Supergraph, cap) -> dict:
-    return {w: len(enumerate_heaps(plain(graph), w)) for w in weights_up_to(cap)}
+    """Heaps of each weight <= cap: the standard words of one walk, counted."""
+    counts = collections.Counter(code for _, code in _standard_words(graph, cap))
+    return {w: counts[i] for i, w in enumerate(weights_up_to(cap))}
 
 
 def verify_pbw(graph: Supergraph, cap) -> SeriesReport:

@@ -28,7 +28,7 @@ from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, superpose, single, standard_word, sort_key,
                     enumerate_heaps, super_lyndon_heaps, is_pyramid,
                     heaps_up_to, is_super_lyndon_word, word_standard_factorization,
-                    _base_first_word, _cut_super_letters, _spell)
+                    _heaps_with_words, _cut_super_letters, _spell)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +447,12 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
         raise InputError(f"base vertex {graph.names[b]!r} is not in the support")
     rank = [-1 if p == b else p for p in range(graph.n)]  # the base least
     odd = {rank[p] for p in graph.psi}
-    words = {h: _base_first_word(h, b) for h in enumerate_heaps(graph, k)}
-    ranked = {h: tuple(rank[p] for p in w) for h, w in words.items()}
-    columns = sorted(ranked, key=ranked.__getitem__)
-    elements = []
-    for heap in columns:
-        if not is_super_lyndon_word(ranked[heap], odd):
+    columns, elements = [], []
+    for heap, base_first in _heaps_with_words(graph, k, b):
+        columns.append(heap)
+        if not is_super_lyndon_word(tuple(rank[p] for p in base_first), odd):
             continue
-        letters = _cut_super_letters(heap, words[heap], b)
+        letters = _cut_super_letters(heap, base_first, b)
         word = tuple(standard_word(l) for l in letters)
         odd_letters = {w for w, l in zip(word, letters) if l.parity()}
         if not is_super_lyndon_word(word, odd_letters):

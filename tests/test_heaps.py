@@ -6,6 +6,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
@@ -17,8 +18,9 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              standard_factorization, super_letter_factors,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
-from freeroots import heaps
-from freeroots.supergraph import plain, support
+from freeroots import heaps, superlie
+from freeroots.multiplicity import _heap_counts
+from freeroots.supergraph import plain, support, weights_up_to
 from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
 
@@ -249,6 +251,114 @@ def test_p4_count_matches_word_class_oracle(p4):
 def test_heaps_up_to_keys(p4):
     table = heaps_up_to(p4, (1, 1, 0, 0))
     assert set(table) == {(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)}
+
+
+def superposed_heaps(graph, k, base, memo):
+    """The superpose-dedupe-sort enumeration the standard-word walk replaced.
+
+    Each heap of weight k - e_i gets a piece on vertex i on top; the set of
+    products is sorted by the word in the order that makes ``base`` least.
+    Returns the sorted heaps with those words.
+    """
+    def build(k):
+        if k not in memo:
+            if not any(k):
+                memo[k] = {empty_heap(graph)}
+            else:
+                memo[k] = {superpose(h, single(graph, i))
+                           for i in support(k)
+                           for h in build(k[:i] + (k[i] - 1,) + k[i + 1:])}
+        return memo[k]
+
+    rank = [-1 if p == base else p for p in range(graph.n)]
+    words = {h: heaps._base_first_word(h, base) for h in build(k)}
+    ordered = sorted(words, key=lambda h: [rank[p] for p in words[h]])
+    return ordered, [words[h] for h in ordered]
+
+
+def assert_walk_matches_superposition(graph, k, memo):
+    for base in support(k):
+        found = heaps._heaps_with_words(graph, k, base)
+        want_heaps, want_words = superposed_heaps(graph, k, base, memo)
+        assert [h for h, _ in found] == want_heaps, (graph, k, base)
+        assert [w for _, w in found] == want_words, (graph, k, base)
+    if any(k):  # base 0 orders the heaps of every weight, whatever the support
+        assert list(enumerate_heaps(graph, k)) == superposed_heaps(graph, k, 0, memo)[0]
+
+
+def test_standard_word_walk_matches_superposition_on_small_graphs():
+    """Every graph on <= 4 vertices, weight entries <= 2, base in the support."""
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            memo = {}
+            for k in itertools.product(range(3), repeat=n):
+                assert_walk_matches_superposition(graph, k, memo)
+
+
+@st.composite
+def _graphs_with_weights(draw):
+    n = draw(st.integers(5, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    k = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return Supergraph("abcdef"[:n], edges), k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_graphs_with_weights())
+def test_standard_word_walk_matches_superposition_on_random_graphs(case):
+    graph, k = case
+    assert_walk_matches_superposition(graph, k, {})
+
+
+def test_heaps_up_to_walk_matches_enumeration():
+    """One walk over the cap files each heap under its weight, ascending."""
+    for graph in all_graphs(3):
+        for cap in ((2, 2, 2), (1, 0, 3), (0, 0, 0)):
+            table = heaps_up_to(graph, cap)
+            assert list(table) == list(weights_up_to(cap))
+            for w, hs in table.items():
+                assert hs == enumerate_heaps(graph, w)
+
+
+def test_walk_on_the_empty_graph():
+    g = Supergraph([])
+    assert enumerate_heaps(g, ()) == (empty_heap(g),)
+    assert heaps_up_to(g, ()) == {(): (empty_heap(g),)}
+    assert _heap_counts(g, ()) == {(): 1}
+
+
+def test_heap_counts_count_the_enumeration(tree6):
+    cap = (1, 2, 1, 1, 2, 1)
+    assert _heap_counts(tree6, cap) == {
+        w: len(enumerate_heaps(tree6, w)) for w in weights_up_to(cap)}
+
+
+def test_lln_basis_takes_its_base_first_words_from_the_walk(path6, monkeypatch):
+    """No heap of the weight has its base-first word recomputed."""
+    calls = []
+    original = heaps._base_first_word
+
+    def counted(heap, base):
+        calls.append(base)
+        return original(heap, base)
+
+    for module in (heaps, superlie):
+        if hasattr(module, "_base_first_word"):
+            monkeypatch.setattr(module, "_base_first_word", counted)
+    basis = lln_basis(path6, (0, 1, 2, 1, 1, 0), "5")
+    assert len(basis) > 0
+    assert [b for b in calls if b] == []
+
+
+def test_enumeration_interns_only_the_heaps_of_the_weight(path6):
+    """The walk drops no heap of a smaller weight into the pool."""
+    k = (0, 1, 2, 1, 1, 0)
+    clear_caches()
+    found = enumerate_heaps(path6, k)
+    pool = heaps._REGISTRY[plain(path6)]
+    assert set(pool.values()) == {h._shared for h in found}
+    assert all(h.weight() == k for h in pool.values())
 
 
 # ---------------------------------------------------------------------------
