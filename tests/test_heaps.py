@@ -19,7 +19,6 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
 from freeroots import heaps, superlie
-from freeroots.multiplicity import _heap_counts
 from freeroots.supergraph import plain, support, weights_up_to
 from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
@@ -325,13 +324,15 @@ def test_walk_on_the_empty_graph():
     g = Supergraph([])
     assert enumerate_heaps(g, ()) == (empty_heap(g),)
     assert heaps_up_to(g, ()) == {(): (empty_heap(g),)}
-    assert _heap_counts(g, ()) == {(): 1}
+    assert heaps._super_lyndon_counts(g, ()) == ((1,), (0,))
 
 
 def test_heap_counts_count_the_enumeration(tree6):
+    """Heaps and super Lyndon heaps per weight, odd squares included."""
     cap = (1, 2, 1, 1, 2, 1)
-    assert _heap_counts(tree6, cap) == {
-        w: len(enumerate_heaps(tree6, w)) for w in weights_up_to(cap)}
+    assert heaps._super_lyndon_counts(tree6, cap) == (
+        tuple(len(enumerate_heaps(tree6, w)) for w in weights_up_to(cap)),
+        tuple(len(super_lyndon_heaps(tree6, w)) for w in weights_up_to(cap)))
 
 
 def test_lln_basis_takes_its_base_first_words_from_the_walk(path6, monkeypatch):

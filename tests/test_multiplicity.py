@@ -6,12 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph
-from freeroots.heaps import super_lyndon_heaps
+from freeroots.heaps import _super_lyndon_counts, enumerate_heaps, super_lyndon_heaps
 from freeroots.multiplicity import (moebius, divisors, mult_free_root,
                                     free_roots_up_to, verify_pbw,
-                                    verify_cartier_foata,
+                                    verify_cartier_foata, SeriesReport,
                                     linear_coefficient_magnitude)
-from freeroots.supergraph import is_connected_support, weight_parity
+from freeroots.supergraph import (independent_sets, is_connected_support, support,
+                                  weight_parity, weights_up_to)
 
 
 def test_moebius():
@@ -136,21 +137,37 @@ def test_pbw_single_odd_vertex():
     assert verify_pbw(g, (7,)).ok
 
 
+def corrupted_counts(w, index, value):
+    """``_super_lyndon_counts`` with its heap (index 0) or super Lyndon
+    (index 1) count at weight w replaced by ``value``."""
+    def counts(graph, cap):
+        out = [list(c) for c in _super_lyndon_counts(graph, cap)]
+        out[index][list(weights_up_to(cap)).index(w)] = value
+        return tuple(map(tuple, out))
+    return counts
+
+
 def test_pbw_detects_wrong_dimension(monkeypatch):
     """The check is not vacuous: corrupt one dimension and it must fail."""
     import freeroots.multiplicity as mm
     g = Supergraph(["v"], psi=["v"])
-    real = mm.super_lyndon_heaps
-
-    def corrupted(graph, k):
-        out = real(graph, k)
-        if tuple(k) == (2,):
-            return ()
-        return out
-
-    monkeypatch.setattr(mm, "super_lyndon_heaps", corrupted)
+    monkeypatch.setattr(mm, "_super_lyndon_counts", corrupted_counts((2,), 1, 0))
     report = mm.verify_pbw(g, (4,))
-    assert not report.ok and report.first_mismatch is not None
+    want = oracle_pbw(g, (4,), dims={**oracle_dims(g, (4,)), (2,): 0})
+    assert not report.ok and report.first_mismatch == (2,)
+    assert (report.expected, report.got) == (want.expected, want.got) == (0, 1)
+    assert report == want
+
+
+def test_cartier_foata_detects_wrong_heap_count(monkeypatch):
+    """Corrupt one heap count and the inversion must fail there."""
+    import freeroots.multiplicity as mm
+    g = Supergraph(["a", "b"], [(0, 1)], psi=["a"])
+    monkeypatch.setattr(mm, "_super_lyndon_counts", corrupted_counts((1, 1), 0, 3))
+    report = mm.verify_cartier_foata(g, (2, 2))
+    want = oracle_cartier_foata(g, (2, 2), heaps={**oracle_heap_series(g, (2, 2)), (1, 1): 3})
+    assert not report.ok and report.first_mismatch == (1, 1)
+    assert report == want
 
 
 def test_cartier_foata_single_vertex():
@@ -255,3 +272,148 @@ def test_recursion_matches_super_lyndon_count_on_random_supergraphs(case):
                      for l in divisors(math.gcd(*k)) if l % 2 == 0)
     assert odd_square or record.agree
 
+
+# ---------------------------------------------------------------------------
+# The series oracles against the route they replaced: heaps and super Lyndon
+# heaps enumerated weight by weight, and series held as dicts weight ->
+# coefficient, multiplied pair by pair.  Truncation at a smaller cap commutes
+# with the products, so series built once at a cap give the oracle's report
+# at every cap below it.
+
+PBW = "heap series vs graded product"
+CARTIER_FOATA = "heap series times alternating independence sum"
+
+
+def dict_series_mul(a, b, cap):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = tuple(x + y for x, y in zip(wa, wb))
+            if any(x > c for x, c in zip(w, cap)):
+                continue
+            out[w] = out.get(w, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def dict_series_compare(a, b, cap, description):
+    for w in weights_up_to(cap):
+        ca, cb = a.get(w, 0), b.get(w, 0)
+        if ca != cb:
+            return SeriesReport(False, description, w, cb, ca)
+    return SeriesReport(True, description)
+
+
+def oracle_heap_series(graph, cap):
+    return {w: len(enumerate_heaps(graph, w)) for w in weights_up_to(cap)}
+
+
+def oracle_dims(graph, cap):
+    return {w: len(super_lyndon_heaps(graph, w)) for w in weights_up_to(cap)}
+
+
+def oracle_graded_product(graph, cap, dims):
+    """Product over w <= cap of (1 - x^w)^(-d) (w even) or (1 + x^w)^d (w odd)."""
+    rhs = {tuple([0] * graph.n): 1}
+    for w in weights_up_to(cap):
+        d = dims[w]
+        if not any(w) or not d:
+            continue
+        top = min(c // x for c, x in zip(cap, w) if x)
+        factor = {}
+        for j in range(top + 1):
+            jw = tuple(j * x for x in w)
+            if weight_parity(graph, w) == 0:
+                factor[jw] = math.comb(d - 1 + j, j)
+            elif j <= d:
+                factor[jw] = math.comb(d, j)
+        rhs = dict_series_mul(rhs, factor, cap)
+    return rhs
+
+
+def oracle_inverted(graph, cap, heaps):
+    """The heap series times the alternating sum over independent sets."""
+    inv = {}
+    for sub in independent_sets(graph, support(cap)):
+        w = tuple(1 if i in sub else 0 for i in range(graph.n))
+        inv[w] = 1 if len(sub) % 2 == 0 else -1
+    return dict_series_mul(heaps, inv, cap)
+
+
+def oracle_pbw(graph, cap, dims=None):
+    product = oracle_graded_product(graph, cap, dims or oracle_dims(graph, cap))
+    return dict_series_compare(oracle_heap_series(graph, cap), product, cap, PBW)
+
+
+def oracle_cartier_foata(graph, cap, heaps=None):
+    inverted = oracle_inverted(graph, cap, heaps or oracle_heap_series(graph, cap))
+    return dict_series_compare(inverted, {tuple([0] * graph.n): 1}, cap, CARTIER_FOATA)
+
+
+def assert_series_match_oracle(graph, top, caps):
+    """Counts and reports at each cap <= top against the oracle's series at top."""
+    heaps, dims = oracle_heap_series(graph, top), oracle_dims(graph, top)
+    product = oracle_graded_product(graph, top, dims)
+    inverted = oracle_inverted(graph, top, heaps)
+    unit = {tuple([0] * graph.n): 1}
+    for cap in caps:
+        assert _super_lyndon_counts(graph, cap) == tuple(
+            tuple(series[w] for w in weights_up_to(cap)) for series in (heaps, dims)), (graph, cap)
+        assert verify_pbw(graph, cap) == dict_series_compare(heaps, product, cap, PBW), (graph, cap)
+        assert verify_cartier_foata(graph, cap) == dict_series_compare(
+            inverted, unit, cap, CARTIER_FOATA), (graph, cap)
+
+
+def small_supergraphs(n):
+    """Every supergraph on the vertices a, b, ... (n of them), every psi."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for r in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            for q in range(n + 1):
+                for psi in itertools.combinations(range(n), q):
+                    yield Supergraph("abcd"[:n], edges, psi=psi)
+
+
+def least_in_isomorphism_class(graph):
+    """Whether no relabelling gives the graph a smaller (edges, psi)."""
+    def form(perm):
+        return (sorted(tuple(sorted((perm[a], perm[b]))) for a, b in graph.edges),
+                sorted(perm[v] for v in graph.psi))
+    return all(form(range(graph.n)) <= form(p)
+               for p in itertools.permutations(range(graph.n)))
+
+
+def test_series_match_oracle_on_the_vertex_free_graph():
+    assert_series_match_oracle(Supergraph([]), (), [()])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_series_match_oracle_on_small_supergraphs(n):
+    """Every cap with entries <= 2, zero entries included.
+
+    Every supergraph on n <= 3 vertices; on 4 vertices, one supergraph per
+    isomorphism class (90 of the 1,024), as the old route needs about 30 ms
+    a graph at cap (2, 2, 2, 2).
+    """
+    caps = list(itertools.product(range(3), repeat=n))
+    graphs = [g for g in small_supergraphs(n) if n < 4 or least_in_isomorphism_class(g)]
+    assert len(graphs) == {1: 2, 2: 8, 3: 64, 4: 90}[n]
+    for graph in graphs:
+        assert_series_match_oracle(graph, caps[-1], caps)
+
+
+@st.composite
+def supergraphs_with_caps(draw):
+    n = draw(st.integers(5, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    psi = draw(st.sets(st.integers(0, n - 1)))
+    cap = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+        lambda c: sum(c) <= 7))
+    return Supergraph("abcdef"[:n], edges, psi=psi), tuple(cap)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(supergraphs_with_caps())
+def test_series_match_oracle_on_random_supergraphs(case):
+    graph, cap = case
+    assert_series_match_oracle(graph, cap, [cap])
