@@ -164,19 +164,14 @@ def _cmd_validate(args):
     return 0 if result["ok"] else 1
 
 
+# ``heaps enumerate --class``: each class name and the test that picks its heaps
+_HEAP_CLASSES = {"heap": bool, "pyramid": hp.is_pyramid, "super-letter": hp.is_super_letter,
+                 "lyndon": hp.is_lyndon, "super-lyndon": hp.is_super_lyndon}
+
+
 def _cmd_heaps_enumerate(args):
     graph, k, cls = args.supergraph, args.weight, getattr(args, "class")
-    all_heaps = hp.enumerate_heaps(graph, k)
-    if cls == "heap":
-        chosen = [h for h in all_heaps if h.pieces]
-    elif cls == "lyndon":
-        chosen = list(hp.lyndon_heaps(graph, k))
-    elif cls == "super-lyndon":
-        chosen = list(hp.super_lyndon_heaps(graph, k))
-    elif cls == "super-letter":
-        chosen = [h for h in all_heaps if hp.is_super_letter(h)]
-    else:
-        chosen = [h for h in all_heaps if hp.is_pyramid(h)]
+    chosen = list(filter(_HEAP_CLASSES[cls], hp.enumerate_heaps(graph, k)))
     result = {"weight": list(k), "class": cls, "count": len(chosen),
               "heaps": [{"word": h.word(), **h.to_json()} for h in chosen]}
     lines = [f"{len(chosen)} heaps of weight {','.join(map(str, k))} [{cls}]"]
@@ -337,11 +332,8 @@ def run_verification_suite(graph, cap):
 _COMMANDS = {
     ("validate",): ("validate <file>", _cmd_validate, ("file",)),
     ("heaps", "enumerate"): (
-        "heaps enumerate --graph F --weight W"
-        " [--class heap|pyramid|super-letter|lyndon|super-lyndon]",
-        _cmd_heaps_enumerate,
-        ("--graph", "--weight",
-         ("--class", ("heap", "pyramid", "super-letter", "lyndon", "super-lyndon"), "heap"))),
+        f"heaps enumerate --graph F --weight W [--class {'|'.join(_HEAP_CLASSES)}]",
+        _cmd_heaps_enumerate, ("--graph", "--weight", ("--class", tuple(_HEAP_CLASSES), "heap"))),
     ("basis", "lyndon"): (
         "basis lyndon    --graph F --weight W", _cmd_basis, ("--graph", "--weight")),
     ("basis", "lln"): (

@@ -15,9 +15,12 @@ it is super Lyndon exactly when the word is Lyndon or the square of an odd
 Lyndon word; its standard factorization is the word's split; and its
 super-letter factors are the pieces of its word in the order that makes
 the base least, cut before each base letter.  Conjugacy classes and
-decompositions stay public, and square roots are searched for in the test
-suite, as the definitions the word rules are checked against.  Enumeration
-is a depth-first search over standard words: each heap once, ascending.
+decompositions stay public, and the squares of odd Lyndon heaps are built
+and square roots searched for in the test suite, as the definitions the
+word rules are checked against.  Enumeration is a depth-first search over
+standard words: each heap once, ascending.  The (super) Lyndon heaps of a
+weight are that enumeration filtered by the word test, and one walk over a
+cap counts them per weight with the same test.
 
 A heap lives on the adjacency; psi only gives its letters a parity.  Every
 heap is interned in one pool per graph, and a heap over a graph with psi,
@@ -33,8 +36,8 @@ import math
 import operator
 
 from .errors import InputError
-from .supergraph import Supergraph, plain, check_weight, weight_gcd, weight_parity, \
-    divide_weight, is_connected_support, weights_up_to
+from .supergraph import Supergraph, plain, check_weight, weight_gcd, divide_weight, \
+    is_connected_support, weights_up_to
 
 
 class Heap:
@@ -403,33 +406,22 @@ def is_lyndon(heap: Heap) -> bool:
     return bool(heap.pieces) and is_lyndon_word(standard_word(heap))
 
 
-@functools.lru_cache(maxsize=None)
-def _lyndon_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
-    """Lyndon heaps of weight k over a plain graph, ascending.
+def is_super_lyndon(heap: Heap) -> bool:
+    """Whether the heap is Lyndon or the square F o F of an odd Lyndon heap F.
 
-    A heap is Lyndon exactly when its standard word is a Lyndon word, so
-    the enumeration (already ascending) is filtered by the word test.  The
-    definition by conjugacy classes (the least element of each class, kept
-    when primitive) is swept in the test suite as an oracle.
+    A Lyndon heap F has st(F o F) = st(F)^2, so the standard word decides.
     """
-    return tuple(h for h in _enumerate_plain(graph, k) if is_lyndon(h))
+    return is_super_lyndon_word(standard_word(heap), heap.graph.psi)
 
 
 def lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All Lyndon heaps of weight ``k``, ascending."""
-    k = check_weight(graph, k)
-    return tuple(_intern(graph, h.pieces) for h in _lyndon_plain(plain(graph), k))
+    return tuple(filter(is_lyndon, enumerate_heaps(graph, k)))
 
 
 def super_lyndon_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
-    """Lyndon heaps plus squares F o F of odd Lyndon heaps F."""
-    k = check_weight(graph, k)
-    out = list(lyndon_heaps(graph, k))
-    if any(k) and all(x % 2 == 0 for x in k):
-        for f in lyndon_heaps(graph, divide_weight(k, 2)):
-            if f.parity() == 1:
-                out.append(superpose(f, f))
-    return tuple(sorted(out, key=sort_key))
+    """Lyndon heaps plus squares F o F of odd Lyndon heaps F, ascending."""
+    return tuple(filter(is_super_lyndon, enumerate_heaps(graph, k)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,20 +429,15 @@ def _super_lyndon_counts(graph: Supergraph, cap: tuple[int, ...]):
     """Heaps and super Lyndon heaps of each weight <= cap, counted in one walk.
 
     Both tuples are indexed like ``weights_up_to(cap)``, by the walk's
-    codes.  A standard word counts as Lyndon by the word test, and an
-    all-even weight 2u adds the squares of u's Lyndon heaps when u is
-    odd; the code of u is half that of 2u.  No heap is built.
+    codes.  Each standard word counts under its content, and again when
+    it passes the super Lyndon word test.  No heap is built.
     """
     heaps = [0] * math.prod(c + 1 for c in cap)
-    lyndon = heaps.copy()
+    super_lyndon = heaps.copy()
     for word, code in _standard_words(graph, cap):
         heaps[code] += 1
-        lyndon[code] += bool(word) and is_lyndon_word(word)
-    weights = list(weights_up_to(cap))
-    squares = [lyndon[c // 2] if not any(x & 1 for x in w)
-               and weight_parity(graph, weights[c // 2]) else 0
-               for c, w in enumerate(weights)]
-    return tuple(heaps), tuple(map(operator.add, lyndon, squares))
+        super_lyndon[code] += is_super_lyndon_word(word, graph.psi)
+    return tuple(heaps), tuple(super_lyndon)
 
 
 class HeapClasses:
@@ -497,7 +484,7 @@ def classify(heap: Heap) -> HeapClasses:
     super_letter = admissible and elementary
     primitive = is_primitive(heap)
     lyndon = is_lyndon(heap)
-    super_lyndon = lyndon or is_odd_lyndon_square(standard_word(heap), heap.graph.psi)
+    super_lyndon = is_super_lyndon(heap)
     return HeapClasses(pyramid=pyramid, admissible_pyramid=admissible,
                        elementary=elementary, super_letter=super_letter,
                        primitive=primitive, lyndon=lyndon,
@@ -521,10 +508,9 @@ def standard_factorization(heap: Heap) -> tuple[Heap, Heap]:
     """
     if len(heap) < 2:
         raise InputError("cannot factor a heap with fewer than 2 pieces")
-    word = standard_word(heap)
-    if not is_super_lyndon_word(word, heap.graph.psi):
+    if not is_super_lyndon(heap):
         raise InputError(f"{heap!r} is not a super Lyndon heap")
-    u, v = word_standard_factorization(word)
+    u, v = word_standard_factorization(standard_word(heap))
     return heap_from_word(heap.graph, u), heap_from_word(heap.graph, v)
 
 

@@ -208,8 +208,8 @@ def verify_pbw(graph: Supergraph, cap) -> SeriesReport:
     number of super Lyndon heaps of weight w.  Even graded pieces behave
     polynomially, odd ones exterior-like; a mismatch pins the first bad
     coefficient.  Both sides are integer counts from one walk of standard
-    words: Lyndon words per weight, plus the squares of odd ones.  Each
-    factor multiplies the series in place, from the highest weight down.
+    words: all words and the super Lyndon words, per weight.  Each factor
+    multiplies the series in place, from the highest weight down.
     """
     cap = check_weight(graph, cap)
     heaps, dims = _super_lyndon_counts(graph, cap)

@@ -37,6 +37,13 @@ _CANONICAL = weakref.WeakValueDictionary()
 _CANONICAL_LOCK = threading.Lock()
 
 
+def _integer(x) -> int:
+    """``operator.index(x)``, refusing bools, which Python counts as integers."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool")
+    return operator.index(x)
+
+
 def _vertex_index(index: dict, v) -> int:
     """Position of a vertex given by name or by integer index.
 
@@ -48,7 +55,7 @@ def _vertex_index(index: dict, v) -> int:
         except KeyError:
             raise InputError(f"unknown vertex {v!r}") from None
     try:
-        i = operator.index(v)
+        i = _integer(v)
     except TypeError:
         raise InputError(f"a vertex is a name or an integer index, got {v!r}") from None
     if not 0 <= i < len(index):
@@ -164,7 +171,7 @@ def plain(graph: Supergraph) -> Supergraph:
 
 def check_weight(graph: Supergraph, k) -> tuple[int, ...]:
     try:
-        k = tuple(map(operator.index, k))
+        k = tuple(map(_integer, k))
     except TypeError:
         raise InputError(f"weight entries must be integers, got {k!r}") from None
     if len(k) != graph.n:

@@ -26,7 +26,7 @@ from itertools import compress, count
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, superpose, single, standard_word, sort_key,
-                    enumerate_heaps, super_lyndon_heaps, is_pyramid,
+                    enumerate_heaps, super_lyndon_heaps, is_pyramid, is_super_lyndon,
                     heaps_up_to, is_super_lyndon_word, word_standard_factorization,
                     _heaps_with_words, _cut_super_letters, _spell)
 
@@ -349,11 +349,10 @@ def lambda_monomial(heap: Heap) -> LieMonomial:
     word, and each part's standard word is the corresponding subword, so
     the tree is built on the word with vertex names as leaves.
     """
-    word = standard_word(heap)
-    if not is_super_lyndon_word(word, heap.graph.psi):
+    if not is_super_lyndon(heap):
         raise InputError(f"{heap!r} is not a super Lyndon heap")
     names = heap.graph.names
-    return _word_tree(word, lambda p: leaf(names[p]))
+    return _word_tree(standard_word(heap), lambda p: leaf(names[p]))
 
 
 def _expand_lambda(heap: Heap) -> HeapPolynomial:

@@ -61,6 +61,11 @@ def _cases():
     for cls in ("heap", "pyramid", "super-letter", "lyndon", "super-lyndon"):
         out.append(["heaps", "enumerate", "--graph", "sample_graphs/path6.json",
                     "--weight", "0,1,2,1,1,0", "--class", cls, "--json"])
+    # 23 is an odd Lyndon heap, so its square 2323 is super Lyndon, self coefficient 2
+    odd_square = ["--graph", "sample_graphs/path6.json", "--weight", "0,2,2,0,0,0"]
+    for cls in ("lyndon", "super-lyndon"):
+        out.append(["heaps", "enumerate", *odd_square, "--class", cls, "--json"])
+    out.append(["verify", "triangular", *odd_square, "--json"])
     for method in ("recursion", "closed", "both"):
         out.append(["mult", "--graph", "sample_graphs/path6.json", "--weight",
                     "0,0,2,1,2,1", "--method", method, "--json"])

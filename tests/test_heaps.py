@@ -14,7 +14,7 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              sort_key, enumerate_heaps, heaps_up_to, classify,
                              conjugacy_class, decompositions, is_primitive,
                              is_lyndon, is_lyndon_word, lyndon_heaps,
-                             super_lyndon_heaps,
+                             super_lyndon_heaps, is_super_lyndon,
                              standard_factorization, super_letter_factors,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
@@ -332,7 +332,7 @@ def test_heap_counts_count_the_enumeration(tree6):
     cap = (1, 2, 1, 1, 2, 1)
     assert heaps._super_lyndon_counts(tree6, cap) == (
         tuple(len(enumerate_heaps(tree6, w)) for w in weights_up_to(cap)),
-        tuple(len(super_lyndon_heaps(tree6, w)) for w in weights_up_to(cap)))
+        tuple(len(square_construction(tree6, w)) for w in weights_up_to(cap)))
 
 
 def test_lln_basis_takes_its_base_first_words_from_the_walk(path6, monkeypatch):
@@ -359,6 +359,16 @@ def test_enumeration_interns_only_the_heaps_of_the_weight(path6):
     found = enumerate_heaps(path6, k)
     pool = heaps._REGISTRY[plain(path6)]
     assert set(pool.values()) == {h._shared for h in found}
+    assert all(h.weight() == k for h in pool.values())
+
+
+def test_super_lyndon_heaps_intern_only_the_heaps_of_the_weight(path6):
+    """No heap of half the weight is built to square it."""
+    k = (0, 2, 2, 0, 0, 0)
+    clear_caches()
+    found = super_lyndon_heaps(path6, k)
+    assert [h.word() for h in found] == ["2233", "2323"]  # 23 is odd
+    pool = heaps._REGISTRY[plain(path6)]
     assert all(h.weight() == k for h in pool.values())
 
 
@@ -520,6 +530,62 @@ def test_super_lyndon_word_rule_matches_square_definition():
                                 seen_squares += 1
                                 assert standard_factorization(h) == (squares[h], squares[h]), h
     assert seen_squares
+
+
+def square_construction(graph, k):
+    """Super Lyndon heaps by the definition, the route the word test replaced.
+
+    The Lyndon heaps of k, plus F o F for each odd Lyndon heap F of weight
+    k/2, sorted by the heap order.
+    """
+    out = list(lyndon_heaps(graph, k))
+    if any(k) and all(x % 2 == 0 for x in k):
+        out += [superpose(f, f) for f in lyndon_heaps(graph, tuple(x // 2 for x in k))
+                if f.parity() == 1]
+    return tuple(sorted(out, key=sort_key))
+
+
+def test_super_lyndon_heaps_match_square_construction_on_small_graphs():
+    """Every supergraph on <= 4 vertices and every psi; every weight with
+    entries <= 2 and every all-even weight of height <= 6."""
+    squares = 0
+    for n in range(1, 5):
+        weights = [k for k in itertools.product(range(7), repeat=n)
+                   if max(k) <= 2 or (sum(k) <= 6 and not any(x % 2 for x in k))]
+        for plain_graph in all_graphs(n):
+            for r in range(n + 1):
+                for psi in itertools.combinations(range(n), r):
+                    graph = with_psi(plain_graph, psi)
+                    for k in weights:
+                        found = super_lyndon_heaps(graph, k)
+                        assert found == square_construction(graph, k), (graph, k)
+                        squares += sum(not is_lyndon(h) for h in found)
+            clear_caches()
+    assert squares
+
+
+@st.composite
+def _supergraphs_with_weights(draw):
+    n = draw(st.integers(5, 6))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    psi = [i for i in range(n) if draw(st.booleans())]
+    entries = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    k = draw(entries.filter(lambda k: sum(k) <= 8))
+    if draw(st.booleans()):  # all even, where odd squares live
+        k = [2 * x for x in draw(entries.filter(lambda h: sum(h) <= 3))]
+    return Supergraph("abcdef"[:n], edges, psi=psi), tuple(k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_supergraphs_with_weights())
+def test_super_lyndon_heaps_match_square_construction_on_random_graphs(case):
+    graph, k = case
+    assert super_lyndon_heaps(graph, k) == square_construction(graph, k), (graph, k)
+
+
+def test_empty_heap_is_not_super_lyndon(p4_odd):
+    assert not is_super_lyndon(empty_heap(p4_odd))
+    assert super_lyndon_heaps(p4_odd, (0, 0, 0, 0)) == ()
 
 
 def test_disconnected_weight_has_no_super_lyndon(p4):

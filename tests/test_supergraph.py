@@ -258,7 +258,7 @@ def test_parse_weight(tree6):
         parse_weight(tree6, "a,b,c,d,e,f")
 
 
-@pytest.mark.parametrize("k", [(1.5, 1), (2.9, 1), ("x", 1), ("1", 1), 5])
+@pytest.mark.parametrize("k", [(1.5, 1), (2.9, 1), ("x", 1), ("1", 1), (True, 1), 5])
 def test_non_integer_weight_is_input_error(k):
     g = Supergraph(["a", "b"], [(0, 1)])
     for call in (mult_free_root, enumerate_heaps):
@@ -321,7 +321,7 @@ def test_symmetrizer_none_for_asymmetric_pattern():
 
 BAD_VERTICES = [("x", "unknown vertex 'x'"), (7, "vertex index 7 out of range"),
                 (-1, "vertex index -1 out of range"), (1.5, "1.5"), (2.9, "2.9"),
-                (None, "None")]
+                (None, "None"), (True, "True")]
 
 
 @pytest.mark.parametrize("v, message", BAD_VERTICES)
