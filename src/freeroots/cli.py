@@ -73,54 +73,69 @@ def _dumps(doc) -> str:
     any other subtree (a float, a subclass of ``int`` or ``str``, a dict
     with other keys, an unknown type) is encoded by ``json.dumps`` and
     re-indented, so its bytes and its exceptions are the standard
-    library's.
+    library's.  A dict with ``str`` keys that appears more than once in the
+    document (a basis's heap dicts) is rendered once per indentation and
+    its text reused; dicts are told apart by ``id``, which is safe because
+    the document keeps every object in it alive for the whole call.
     """
     chunks = []
-    _encode(doc, "", "\n", chunks.append)
+    _encode(doc, "", "\n", chunks, {})
     return "".join(chunks)
 
 
-def _encode(o, lead, newline, put):
+def _encode(o, lead, newline, chunks, seen):
     """Append ``o`` behind ``lead``, at the indentation ``newline`` ends with.
 
     ``lead`` (a separator, a dict key) goes into the same chunk as a
     scalar, so a document is about as many chunks as it has values.
+    ``seen`` maps ``(id(d), newline)`` of a dict ``d`` already rendered to
+    the range of ``chunks`` after its opening chunk, and to its text once
+    ``d`` appears again, so text that never repeats is never copied.
     """
     t = type(o)
     if t is str:
-        put(lead + _json_str(o))
+        chunks.append(lead + _json_str(o))
     elif t is int:
-        put(lead + int.__repr__(o))
+        chunks.append(lead + int.__repr__(o))
     elif t is dict and all(type(key) is str for key in o):
         if not o:
-            put(lead + "{}")
+            chunks.append(lead + "{}")
             return
+        memo = (id(o), newline)
+        text = seen.get(memo)
+        if text is not None:
+            if type(text) is tuple:
+                text = seen[memo] = "{" + "".join(chunks[text[0]:text[1]])
+            chunks.append(lead + text)
+            return
+        start = len(chunks)
         inner = newline + "  "
-        put(lead + "{")
+        chunks.append(lead + "{")
         sep = inner
         for key in sorted(o):
-            _encode(o[key], sep + _json_str(key) + ": ", inner, put)
+            _encode(o[key], sep + _json_str(key) + ": ", inner, chunks, seen)
             sep = "," + inner
-        put(newline + "}")
+        chunks.append(newline + "}")
+        seen[memo] = start + 1, len(chunks)
     elif t is list or t is tuple:
         if not o:
-            put(lead + "[]")
+            chunks.append(lead + "[]")
             return
         inner = newline + "  "
-        put(lead + "[")
+        chunks.append(lead + "[")
         sep = inner
         for item in o:
-            _encode(item, sep, inner, put)
+            _encode(item, sep, inner, chunks, seen)
             sep = "," + inner
-        put(newline + "]")
+        chunks.append(newline + "]")
     elif o is True:
-        put(lead + "true")
+        chunks.append(lead + "true")
     elif o is False:
-        put(lead + "false")
+        chunks.append(lead + "false")
     elif o is None:
-        put(lead + "null")
+        chunks.append(lead + "null")
     else:
-        put(lead + json.dumps(o, indent=2, sort_keys=True).replace("\n", newline))
+        chunks.append(lead + json.dumps(o, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def _emit(args, inputs, result, human_lines, certificates=()):
@@ -244,8 +259,8 @@ def _triangularity_report(expansions):
     for heap, expansion in expansions:
         self_coeff = expansion.coefficient(heap)
         expected = 1 if hp.is_lyndon(heap) else 2
-        key = hp.sort_key(heap)
-        dominated = all(hp.sort_key(h) >= key for h in expansion.terms)
+        key = hp.standard_word(heap)
+        dominated = all(hp.standard_word(h) >= key for h in expansion.terms)
         checks.append({"word": heap.word(), "self_coefficient": self_coeff,
                        "expected": expected, "supported_above": dominated,
                        "ok": self_coeff == expected and dominated})

@@ -212,10 +212,6 @@ def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sort_key(heap: Heap) -> tuple[int, ...]:
-    return standard_word(heap)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration.
 

@@ -25,7 +25,7 @@ from itertools import compress, count
 
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
-from .heaps import (Heap, superpose, single, standard_word, sort_key,
+from .heaps import (Heap, superpose, single, standard_word,
                     enumerate_heaps, super_lyndon_heaps, is_pyramid, is_super_lyndon,
                     heaps_up_to, is_super_lyndon_word, word_standard_factorization,
                     _heaps_with_words, _cut_super_letters, _spell)
@@ -158,20 +158,30 @@ class HeapPolynomial:
         return parities.pop()
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda hc: sort_key(hc[0]))
+        return sorted(self.terms.items(), key=lambda hc: standard_word(hc[0]))
 
     def leading(self):
         """(least heap, coefficient) in the heap order."""
         if not self.terms:
             return None
-        h = min(self.terms, key=sort_key)
+        h = min(self.terms, key=standard_word)
         return h, self.terms[h]
 
     def coefficient(self, heap: Heap) -> int:
         return self.terms.get(heap, 0)
 
     def to_json(self):
-        return [{"coeff": c, "heap": h.to_json()} for h, c in self.sorted_terms()]
+        return self._to_json({})
+
+    def _to_json(self, heap_docs: dict):
+        """The terms, each heap's dict taken from ``heap_docs`` or added to it."""
+        out = []
+        for h, c in self.sorted_terms():
+            doc = heap_docs.get(h)
+            if doc is None:
+                doc = heap_docs[h] = h.to_json()
+            out.append({"coeff": c, "heap": doc})
+        return out
 
     def __repr__(self):
         if not self.terms:
@@ -388,6 +398,9 @@ class GradedBasis:
         return [str(e.monomial) for e in self.elements]
 
     def to_json(self):
+        """The basis as a JSON document.  Expansion terms of one heap share
+        one heap dict, so copy a dict before mutating it."""
+        heap_docs = {}
         return {
             "weight": list(self.weight),
             "dimension": len(self.elements),
@@ -395,7 +408,7 @@ class GradedBasis:
                 "word": e.word(),
                 "monomial": str(e.monomial),
                 **({"letters": [l.word() for l in e.letters]} if e.letters else {}),
-                "expansion": e.expansion.to_json(),
+                "expansion": e.expansion._to_json(heap_docs),
             } for e in self.elements],
             "certificate": self.certificate.to_json(),
         }
@@ -425,7 +438,7 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
     cap = weight_cap[:b] + (1,) + weight_cap[b + 1:]
     letters = [h for hs in heaps_up_to(graph, cap).values() for h in hs
                if is_pyramid(h) and h.pieces[0][0] == b]
-    return tuple(sorted(letters, key=sort_key))
+    return tuple(sorted(letters, key=standard_word))
 
 
 def lln_basis(graph: Supergraph, k, base) -> GradedBasis:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from freeroots import Supergraph
 from freeroots.supergraph import is_connected_support, is_free_weight, support
-from freeroots.heaps import (heap_from_word, enumerate_heaps, sort_key,
+from freeroots.heaps import (heap_from_word, enumerate_heaps, standard_word,
                              lyndon_heaps, super_lyndon_heaps,
                              standard_factorization, decompositions, is_lyndon)
 from freeroots.superlie import (lyndon_heap_basis, lln_basis, lambda_equals_e,
@@ -217,8 +217,8 @@ def test_c06_triangularity_three_vertex():
                         poly = _expand_lambda(heap)
                         expected = 1 if is_lyndon(heap) else 2
                         assert poly.coefficient(heap) == expected, heap
-                        key = sort_key(heap)
-                        assert all(sort_key(h) >= key for h in poly.terms), heap
+                        key = standard_word(heap)
+                        assert all(standard_word(h) >= key for h in poly.terms), heap
                         checked += 1
     elapsed = time.time() - t0
     _report(f"C6 triangularity of {checked} expansions", True, elapsed, 120)
@@ -281,7 +281,7 @@ def test_c09_factorization_consistency():
                 best = None
                 for f, n in decompositions(heap):
                     if is_lyndon(n) and (best is None
-                                         or sort_key(n) < sort_key(best[1])):
+                                         or standard_word(n) < standard_word(best[1])):
                         best = (f, n)
                 assert standard_factorization(heap) == best, heap
                 checked += 1

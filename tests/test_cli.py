@@ -374,6 +374,34 @@ def test_dumps_matches_json_dumps(doc):
     assert _dumps(nested) == stock(nested)
 
 
+@st.composite
+def _shared_documents(draw):
+    """A document in which the same dicts and lists sit at several positions.
+
+    The pool holds drawn dicts and lists, a dict with ``int`` keys (encoded
+    by the ``json.dumps`` fallback) and an empty dict; the tree picks pool
+    objects themselves, not copies, at any depth, and the document repeats
+    the tree as siblings and one level deeper.
+    """
+    pool = draw(st.lists(st.dictionaries(_TEXT, _TREES, max_size=3)
+                         | st.lists(_TREES, max_size=3)
+                         | st.dictionaries(st.integers(), _TREES, min_size=1, max_size=2),
+                         min_size=1, max_size=3))
+    pool.append({})
+    tree = draw(st.recursive(
+        st.sampled_from(pool),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.dictionaries(_TEXT, children, max_size=4)),
+        max_leaves=12))
+    return {"siblings": [tree, tree], "deeper": {"tree": [tree]}, "pool": pool}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_shared_documents())
+def test_dumps_matches_json_dumps_on_shared_objects(doc):
+    assert _dumps(doc) == stock(doc)
+
+
 class _Colour(enum.IntEnum):
     RED = 1
 

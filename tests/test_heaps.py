@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from freeroots import InputError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              single, superpose, standard_word,
-                             sort_key, enumerate_heaps, heaps_up_to, classify,
+                             enumerate_heaps, heaps_up_to, classify,
                              conjugacy_class, decompositions, is_primitive,
                              is_lyndon, is_lyndon_word, lyndon_heaps,
                              super_lyndon_heaps, is_super_lyndon,
@@ -177,7 +177,7 @@ def test_letter_order(edge36):
     h3 = heap_from_word(edge36, "3")
     h36 = heap_from_word(edge36, "36")
     h6 = heap_from_word(edge36, "6")
-    assert sort_key(h3) < sort_key(h36) < sort_key(h6)
+    assert standard_word(h3) < standard_word(h36) < standard_word(h6)
 
 
 def test_left_factor_is_smaller(p4, edge36):
@@ -188,7 +188,7 @@ def test_left_factor_is_smaller(p4, edge36):
             f = heap_from_word(graph, random_word(rng, graph, 4) or [0])
             if not e.pieces or not f.pieces:
                 continue
-            assert sort_key(e) < sort_key(superpose(e, f))
+            assert standard_word(e) < standard_word(superpose(e, f))
 
 
 def test_order_on_letter_products_is_lexicographic(path6):
@@ -205,8 +205,8 @@ def test_order_on_letter_products_is_lexicographic(path6):
                 prod_a = superpose(prod_a, l)
             for l in sb[1:]:
                 prod_b = superpose(prod_b, l)
-            lex_a, lex_b = [sort_key(l) for l in sa], [sort_key(l) for l in sb]
-            key_a, key_b = sort_key(prod_a), sort_key(prod_b)
+            lex_a, lex_b = [standard_word(l) for l in sa], [standard_word(l) for l in sb]
+            key_a, key_b = standard_word(prod_a), standard_word(prod_b)
             assert ((key_a < key_b, key_a == key_b)
                     == (lex_a < lex_b, lex_a == lex_b)), (sa, sb)
 
@@ -214,7 +214,7 @@ def test_order_on_letter_products_is_lexicographic(path6):
 def test_total_order_on_weight_class(tree6_plain):
     for k in ((0, 0, 2, 0, 0, 2), (1, 1, 1, 1, 0, 0)):
         hs = enumerate_heaps(tree6_plain, k)
-        keys = [sort_key(h) for h in hs]
+        keys = [standard_word(h) for h in hs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)  # trichotomy: distinct heaps compare apart
 
@@ -441,7 +441,7 @@ def test_lyndon_matches_brute_force():
                 continue
             for h in enumerate_heaps(graph, k):
                 cls = brute_conjugacy_class(h)
-                brute = brute_primitive(h) and all(sort_key(h) <= sort_key(o) for o in cls)
+                brute = brute_primitive(h) and all(standard_word(h) <= standard_word(o) for o in cls)
                 assert is_lyndon(h) == brute, h
 
 
@@ -453,7 +453,7 @@ def sweep_lyndon_heaps(graph, k):
         if h.pieces and h not in seen:
             cls = conjugacy_class(h)
             seen |= cls
-            least = min(cls, key=sort_key)
+            least = min(cls, key=standard_word)
             if is_primitive(least):
                 out.add(least)
     return out
@@ -469,7 +469,7 @@ def test_lyndon_word_test_matches_conjugacy_sweep():
                     if sum(k) > 6:
                         continue
                     sweep = sweep_lyndon_heaps(graph, k)
-                    expected = tuple(sorted(sweep, key=sort_key))
+                    expected = tuple(sorted(sweep, key=standard_word))
                     assert lyndon_heaps(graph, k) == expected, (graph, k)
                     for h in enumerate_heaps(graph, k):
                         assert is_lyndon(h) == (h in sweep), h
@@ -542,7 +542,7 @@ def square_construction(graph, k):
     if any(k) and all(x % 2 == 0 for x in k):
         out += [superpose(f, f) for f in lyndon_heaps(graph, tuple(x // 2 for x in k))
                 if f.parity() == 1]
-    return tuple(sorted(out, key=sort_key))
+    return tuple(sorted(out, key=standard_word))
 
 
 def test_super_lyndon_heaps_match_square_construction_on_small_graphs():
@@ -625,7 +625,7 @@ def test_factorization_requires_super_lyndon(edge36):
 def brute_standard_factorization(heap):
     best = None
     for f, n in decompositions(heap):
-        if is_lyndon(n) and (best is None or sort_key(n) < sort_key(best[1])):
+        if is_lyndon(n) and (best is None or standard_word(n) < standard_word(best[1])):
             best = (f, n)
     return best
 

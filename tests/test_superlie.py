@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, ConsistencyError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, single, superpose,
-                             sort_key, standard_word, enumerate_heaps,
+                             standard_word, enumerate_heaps,
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
                              classify, heaps_up_to, is_pyramid, _base_first_word)
 from freeroots import heaps
@@ -337,8 +337,8 @@ def test_triangularity_small_graphs():
                 poly = _expand_lambda(heap)
                 expected = 1 if is_lyndon(heap) else 2
                 assert poly.coefficient(heap) == expected
-                key = sort_key(heap)
-                assert all(sort_key(h) >= key for h in poly.terms)
+                key = standard_word(heap)
+                assert all(standard_word(h) >= key for h in poly.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +507,23 @@ def test_lln_and_lyndon_bases_span_each_other(path, weight):
                 solve_exact(columns, target)
 
 
+@pytest.mark.parametrize("base", [None, "3"])
+def test_basis_json_holds_one_dict_per_heap(path6, base):
+    """Terms of one heap share one dict, so the emitter renders it once."""
+    k = (0, 0, 2, 1, 2, 1)
+    basis = lyndon_heap_basis(path6, k) if base is None else lln_basis(path6, k, base)
+    elements = basis.to_json()["elements"]
+    terms = [t for e in elements for t in e["expansion"]]
+    heaps_of_terms = {h for e in basis.elements for h in e.expansion.terms}
+    assert (len(terms), len(heaps_of_terms)) == (22, 18)
+    assert len({id(t["heap"]) for t in terms}) == len(heaps_of_terms)
+    for doc, e in zip(elements, basis.elements):
+        assert doc["expansion"] == e.expansion.to_json()
+    poly = basis.elements[0].expansion
+    first, again = poly.to_json(), poly.to_json()
+    assert first == again and first[0]["heap"] is not again[0]["heap"]
+
+
 def test_lln_basis_interns_only_over_the_callers_graph(path6):
     clear_caches()
     basis = lln_basis(path6, (0, 1, 2, 1, 1, 0), "5")
@@ -654,13 +671,13 @@ def test_bracket_closure_below_larger_factor(edge36):
         for kb in weights:
             for a in super_lyndon_heaps(edge36, ka):
                 for b in super_lyndon_heaps(edge36, kb):
-                    if sort_key(a) < sort_key(b):
+                    if standard_word(a) < standard_word(b):
                         pairs.append((a, b))
     for a, b in pairs:
         target_poly = bracket_expand(_expand_lambda(a), _expand_lambda(b))
         total = tuple(x + y for x, y in zip(a.weight(), b.weight()))
         below = [n for n in super_lyndon_heaps(edge36, total)
-                 if sort_key(n) < sort_key(b)]
+                 if standard_word(n) < standard_word(b)]
         heaps = enumerate_heaps(edge36, total)
         cols = [[Fraction(_expand_lambda(n).coefficient(h)) for h in heaps] for n in below]
         rhs = [Fraction(target_poly.coefficient(h)) for h in heaps]
