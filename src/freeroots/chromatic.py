@@ -10,6 +10,12 @@ forward differences of its values at q = 0..ht(k).  Only ``_from_binomial``
 builds a polynomial, for output: one integer conversion to the monomial
 basis, then one Fraction per coefficient.  The routes must agree, as tuples
 with trailing zeros dropped, and the tests and ``verify all`` enforce that.
+
+The multiplicities need only the coefficient of q, which is [x^k] log I(G, x)
+for the independence polynomial I.  ``_log_count`` gives it as one integer
+per weight, M_k = ht(k) [x^k] log I(G, x), by a recursion over the same
+independent sets, with no tuple counts; ``linear_coefficient`` is
+M_k / ht(k).
 """
 
 from __future__ import annotations
@@ -206,8 +212,11 @@ def _partition_counts(graph: Supergraph) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _nonempty_independent_sets(graph: Supergraph,
                                sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The nonempty independent subsets of a support, listed once per support."""
-    return tuple(independent_sets(graph, sup)[1:])
+    """The nonempty independent subsets of a support as 0/1 weight steps,
+    listed once per support; the last is the support itself when it is
+    independent."""
+    return tuple(tuple(int(v in sub) for v in range(graph.n))
+                 for sub in independent_sets(graph, sup)[1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,33 +230,36 @@ def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
     if not any(k):
         return (1,)
     acc = [0] * (ht(k) + 1)
-    for sub in _nonempty_independent_sets(graph, support(k)):
-        rest = list(k)
-        for v in sub:
-            rest[v] -= 1
-        for m, cnt in enumerate(_tuple_counts(graph, tuple(rest))):
+    for step in _nonempty_independent_sets(graph, support(k)):
+        for m, cnt in enumerate(_tuple_counts(graph, tuple(map(operator.sub, k, step)))):
             acc[m + 1] += cnt
     return _trimmed(acc)
 
 
 @functools.lru_cache(maxsize=None)
-def _linear_plain(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
-    """Coefficient of q from the tuple counts, for a checked weight.
+def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
+    """M_k = ht(k) [x^k] log I(G, x), for a checked weight, I being the
+    independence polynomial; memoized on the remaining weight.
 
-    The coefficient of q in C(q, m) is (-1)^(m-1) / m, so the sum runs
-    over integers scaled by lcm(1..m_max) and makes a single Fraction.
+    Euler's operator turns I = exp(log I) into I * D(log I) = D(I), whose
+    coefficient at k reads M_k = ht(k) [k is a 0/1 independent set] minus
+    the sum of M_(k-S) over the nonempty independent S in supp(k); M_0 = 0.
     """
-    counts = _tuple_counts(graph, k)
-    scale = math.lcm(*range(1, len(counts)))
-    numerator = sum((scale // m) * (c if m % 2 else -c)
-                    for m, c in enumerate(counts) if m)
-    return Fraction(numerator, scale)
+    if not any(k):
+        return 0
+    steps = _nonempty_independent_sets(graph, support(k))
+    # k is a 0/1 independent set exactly when it is the last step
+    total = ht(k) if steps[-1] == k else 0
+    for step in steps:
+        total -= _log_count(graph, tuple(map(operator.sub, k, step)))
+    return total
 
 
 def linear_coefficient(graph: Supergraph, k) -> Fraction:
-    """Coefficient of q in the k-chromatic polynomial, read off the
-    integer tuple counts without building the polynomial."""
-    return _linear_plain(plain(graph), check_weight(graph, k))
+    """Coefficient of q in the k-chromatic polynomial, [x^k] log I(G, x),
+    from one integer per weight; 0 on the zero weight."""
+    k = check_weight(graph, k)
+    return Fraction(_log_count(plain(graph), k), ht(k) or 1)
 
 
 def k_chromatic_direct(graph: Supergraph, k) -> RationalPoly:

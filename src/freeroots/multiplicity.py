@@ -1,18 +1,22 @@
 """Free-root multiplicities and the series identities that certify them.
 
 The dimension of a free root space is recovered from the linear
-coefficients of k-chromatic polynomials.  Each coefficient is read off the
-integer counts of ordered tuples of independent sets (the polynomial's
-coefficients in the binomial basis C(q, m)), so no polynomial is built.
-Two methods are implemented:
+coefficients of k-chromatic polynomials.  The coefficient of q at k is
+M_k / ht(k), where the integer M_k = ht(k) [x^k] log I(G, x) comes from
+``chromatic._log_count``, so no polynomial and no tuple count is built.
+Both methods are integer sums over the divisors l of gcd(k), divided once
+by ht(k):
 
-* ``closed_form`` is the plain Moebius sum sum_l (mu(l) / l) |pi_{k/l}[q]|
-  over the divisors l of gcd(k), with no sign pattern: every l dividing an
-  odd weight is odd, since l divides its odd total of odd letters;
+* ``closed_form`` is the plain Moebius sum sum_l mu(l) |M_{k/l}| / ht(k),
+  with no sign pattern: every l dividing an odd weight is odd, since l
+  divides its odd total of odd letters; it is a Fraction when ht(k) does
+  not divide it;
 
 * ``recursion`` inverts, divisor by divisor, the logarithm of the graded
-  product sum_l (s_l / l) mult(k/l) = |pi_{k}[q]| where the sign s_l is
-  (-1)^(l+1) when the sub-weight k/l is odd and 1 when it is even.
+  product sum_l (s_l / l) mult(k/l) = |M_k| / ht(k), where the sign s_l is
+  (-1)^(l+1) when the sub-weight k/l is odd and 1 when it is even.  Times
+  ht(k), ht(k) mult(k) = |M_k| - sum_{l > 1} s_l ht(k/l) mult(k/l), and
+  the division by ht(k) must be exact.
 
 The two agree unless an even l has an odd sub-weight k/l (a square of an
 odd root); disagreements are reported, never averaged, and the recursion
@@ -28,12 +32,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, ConsistencyError
-from .supergraph import Supergraph, plain, check_weight, support, \
+from .supergraph import Supergraph, plain, check_weight, support, ht, \
     weight_parity, weight_gcd, divide_weight, _is_free, _is_connected, \
     independent_sets, weights_up_to
 # enumerate_heaps stays bound here: perfbench/selftest.py checks that tracing wraps it
 from .heaps import enumerate_heaps, _super_lyndon_counts  # noqa: F401
-from .chromatic import linear_coefficient, _linear_plain
+from .chromatic import linear_coefficient, _log_count
 
 
 def moebius(n: int) -> int:
@@ -62,9 +66,9 @@ def linear_coefficient_magnitude(graph: Supergraph, k) -> Fraction:
     return abs(linear_coefficient(graph, k))
 
 
-def _magnitude(graph: Supergraph, k: tuple[int, ...]) -> Fraction:
-    """linear_coefficient_magnitude for a weight already checked."""
-    return abs(_linear_plain(plain(graph), k))
+def _magnitude(graph: Supergraph, k: tuple[int, ...]) -> int:
+    """|M_k| = ht(k) |coefficient of q|, for a weight already checked."""
+    return abs(_log_count(plain(graph), k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,22 +77,21 @@ def _mult_recursion(graph: Supergraph, k: tuple[int, ...]) -> int:
     for l in divisors(weight_gcd(k))[1:]:
         sub = divide_weight(k, l)
         # s_l = (-1)^(l+1) for an odd sub-weight, 1 for an even one
-        total -= (Fraction((-1) ** ((l + 1) * weight_parity(graph, sub)), l)
-                  * _mult_recursion(graph, sub))
-    if total.denominator != 1 or total < 0:
+        sign = (-1) ** ((l + 1) * weight_parity(graph, sub))
+        total -= sign * ht(sub) * _mult_recursion(graph, sub)
+    mult, remainder = divmod(total, ht(k))
+    if remainder or mult < 0:
         raise ConsistencyError(
-            f"multiplicity recursion gave {total} at weight {k}")
-    return int(total)
+            f"multiplicity recursion gave {Fraction(total, ht(k))} at weight {k}")
+    return mult
 
 
 def _mult_closed_form(graph: Supergraph, k: tuple[int, ...]) -> int | Fraction:
     """The Moebius sum, as an int when it is integral."""
-    total = Fraction(0)
-    for l in divisors(weight_gcd(k)):
-        mu = moebius(l)
-        if mu:
-            total += Fraction(mu, l) * _magnitude(graph, divide_weight(k, l))
-    return int(total) if total.denominator == 1 else total
+    total = sum(moebius(l) * _magnitude(graph, divide_weight(k, l))
+                for l in divisors(weight_gcd(k)))
+    mult, remainder = divmod(total, ht(k))
+    return Fraction(total, ht(k)) if remainder else mult
 
 
 def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
@@ -118,7 +121,7 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
             recursion=rec,
             closed_form=closed,
             agree=(closed == rec),
-            linear_coefficient=_magnitude(graph, k),
+            linear_coefficient=Fraction(_magnitude(graph, k), ht(k)),
         )
     raise InputError(f"unknown method {method!r}")
 

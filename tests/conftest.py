@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from freeroots import Supergraph  # noqa: E402
+from freeroots import Supergraph, clear_caches  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +93,25 @@ def tree6_matrix():
 @pytest.fixture(scope="session")
 def path6_matrix():
     return PATH6_MATRIX
+
+
+@pytest.fixture()
+def fresh_caches():
+    """Caches emptied before and after a test that corrupts a cached kernel."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def shifted_log_count(monkeypatch, w, shift):
+    """``multiplicity._log_count`` with ``shift`` added at weight w; the
+    chromatic routes keep the true counts."""
+    import freeroots.multiplicity as mm
+    real = mm._log_count
+
+    def corrupted(graph, k):
+        return real(graph, k) + (shift if k == w else 0)
+    monkeypatch.setattr(mm, "_log_count", corrupted)
 
 
 # Polynomials as Fraction coefficient lists, lowest degree first: the test

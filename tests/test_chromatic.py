@@ -236,8 +236,15 @@ def test_independent_sets_cached_per_support():
         twin = plain(graph)
         for r in range(graph.n + 1):
             for sup in itertools.combinations(range(graph.n), r):
-                expected = independent_sets(twin, sup)[1:]
-                assert _nonempty_independent_sets(twin, sup) == tuple(expected)
+                expected = tuple(tuple(int(v in sub) for v in range(graph.n))
+                                 for sub in independent_sets(twin, sup)[1:])
+                assert _nonempty_independent_sets(twin, sup) == expected
+
+
+def test_linear_coefficient_vanishes_on_the_zero_weight():
+    for graph in graphs_up_to_4_and_samples():
+        got = linear_coefficient(graph, (0,) * graph.n)
+        assert got == 0 and type(got) is Fraction
 
 
 def test_linear_coefficient_checks_its_weight(p4):

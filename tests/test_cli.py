@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from freeroots import chromatic, multiplicity
 from freeroots.cli import _dumps, main
-from conftest import TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS
+from freeroots.supergraph import load_graph, plain
+from conftest import TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS, shifted_log_count
 
 
 @pytest.fixture()
@@ -284,6 +285,20 @@ def test_verify_all_fails_the_check_a_fault_breaks(module, name, breaker, check,
     assert code == 2 and doc["result"]["ok"] is False
     failed = [c["name"] for c in doc["result"]["checks"] if not c["ok"]]
     assert len(failed) == 1 and failed[0].startswith(check + " over "), failed
+
+
+def test_verify_all_fails_route_agreement_on_a_shifted_log_count(
+        tree6_file, capsys, monkeypatch, fresh_caches):
+    """M_k off by ht(k) keeps the recursion integral, so only the checks
+    that compare it with other routes can catch it."""
+    cap = (1, 1, 2, 1, 1, 2)
+    true = chromatic._log_count(plain(load_graph(tree6_file)[0]), cap)
+    shifted_log_count(monkeypatch, cap, sum(cap) if true > 0 else -sum(cap))
+    code, doc = run_json(capsys, ["verify", "all", "--graph", tree6_file,
+                                  "--cap", "1,1,2,1,1,2"])
+    assert code == 2 and doc["result"]["ok"] is False
+    failed = {c["name"].split(" over ")[0] for c in doc["result"]["checks"] if not c["ok"]}
+    assert failed == {"dimension agreement", "chromatic route agreement"}, failed
 
 
 def test_seed_rejected(tree6_file, capsys):

@@ -1,18 +1,23 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from freeroots import InputError, Supergraph
+from freeroots import InputError, ConsistencyError, Supergraph
+from freeroots.chromatic import _tuple_counts, linear_coefficient
 from freeroots.heaps import _super_lyndon_counts, enumerate_heaps, super_lyndon_heaps
 from freeroots.multiplicity import (moebius, divisors, mult_free_root,
                                     free_roots_up_to, verify_pbw,
                                     verify_cartier_foata, SeriesReport,
-                                    linear_coefficient_magnitude)
-from freeroots.supergraph import (independent_sets, is_connected_support, support,
-                                  weight_parity, weights_up_to)
+                                    linear_coefficient_magnitude, MultRecord)
+from freeroots.supergraph import (independent_sets, is_connected_support,
+                                  is_free_weight, plain, support, weight_parity,
+                                  weights_up_to)
+
+from conftest import shifted_log_count
 
 
 def test_moebius():
@@ -91,6 +96,91 @@ def test_mult_equals_heap_count_sweep():
             if not (0 < sum(k) <= 6) or not is_connected_support(g, k):
                 continue
             assert mult_free_root(g, k) == len(super_lyndon_heaps(g, k)), (g, k)
+
+
+# ---------------------------------------------------------------------------
+# The routes the integer kernel M_k = ht(k) [x^k] log I(G, x) replaced, kept
+# as oracles: the linear coefficient sum_m (-1)^(m-1) c_m / m over the tuple
+# counts c_m, and both methods as Fraction sums of its magnitude.
+
+def oracle_linear_coefficient(graph, k):
+    counts = _tuple_counts(plain(graph), k)
+    return sum((Fraction((-1) ** (m - 1) * c, m) for m, c in enumerate(counts) if m),
+               Fraction(0))
+
+
+def oracle_mult_recursion(graph, k):
+    total = abs(oracle_linear_coefficient(graph, k))
+    for l in divisors(math.gcd(*k))[1:]:
+        sub = tuple(x // l for x in k)
+        total -= (Fraction((-1) ** ((l + 1) * weight_parity(graph, sub)), l)
+                  * oracle_mult_recursion(graph, sub))
+    assert total.denominator == 1 and total >= 0, (graph, k, total)
+    return int(total)
+
+
+def oracle_closed_form(graph, k):
+    total = sum(Fraction(moebius(l), l)
+                * abs(oracle_linear_coefficient(graph, tuple(x // l for x in k)))
+                for l in divisors(math.gcd(*k)))
+    return int(total) if total.denominator == 1 else total
+
+
+def oracle_record(graph, k):
+    connected = is_connected_support(graph, k)
+    rec = oracle_mult_recursion(graph, k) if connected else 0
+    closed = oracle_closed_form(graph, k) if connected else 0
+    return MultRecord(weight=k, parity="odd" if weight_parity(graph, k) else "even",
+                      recursion=rec, closed_form=closed, agree=(closed == rec),
+                      linear_coefficient=abs(oracle_linear_coefficient(graph, k)))
+
+
+def assert_matches_oracle(graph, k):
+    """``linear_coefficient`` and, on a free nonzero weight, the record of
+    both methods equal the oracles', field by field and type by type."""
+    got = linear_coefficient(graph, k)
+    assert got == oracle_linear_coefficient(graph, k) and type(got) is Fraction, (graph, k)
+    if any(k) and is_free_weight(graph, k):
+        record, want = mult_free_root(graph, k, "both"), oracle_record(graph, k)
+        assert record == want, (graph, k)
+        assert list(map(type, astuple(record))) == list(map(type, astuple(want))), (graph, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_kernel_matches_the_fraction_routes_on_small_supergraphs(n):
+    """Every weight with entries <= 3 on every graph on n vertices, under
+    every psi for n <= 3; on 4 vertices, psi empty and one supergraph per
+    isomorphism class."""
+    for graph in small_supergraphs(n):
+        if n == 4 and graph.psi and not least_in_isomorphism_class(graph):
+            continue
+        for k in itertools.product(range(4), repeat=n):
+            assert_matches_oracle(graph, k)
+
+
+def test_integer_kernel_matches_the_fraction_routes_on_sample_weights(tree6, path6):
+    """Real vertices, and weights of gcd 2 and 3, (0, 2, 2, 0, 0, 2) being
+    the square of an odd weight."""
+    for graph in (tree6, path6):
+        for k in ((0, 0, 3, 0, 0, 3), (0, 2, 2, 0, 0, 2), (0, 3, 3, 0, 3, 3),
+                  (1, 2, 2, 1, 1, 2), (0, 0, 2, 1, 2, 1)):
+            assert_matches_oracle(graph, k)
+
+
+@pytest.mark.parametrize("graph, w, shift, k, shown", [
+    # M_(1,1) = -2 on an edge: |M| = 3 gives 3/2
+    (Supergraph(["a", "b"], [(0, 1)]), (1, 1), -1, (1, 1), "3/2"),
+    # M_(2) = -1 on an even vertex: |M| = 0 gives (0 - 1) / 2
+    (Supergraph(["v"]), (2,), 1, (2,), "-1/2"),
+    # mult(1) = 3 makes ht(2) mult(2) = 1 - 1 * 3 = -2
+    (Supergraph(["v"]), (1,), 2, (2,), "-1"),
+])
+def test_recursion_refuses_a_remainder_or_a_negative_value(
+        graph, w, shift, k, shown, fresh_caches, monkeypatch):
+    shifted_log_count(monkeypatch, w, shift)
+    with pytest.raises(ConsistencyError) as info:
+        mult_free_root(graph, k)
+    assert str(info.value) == f"multiplicity recursion gave {shown} at weight {k}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +321,18 @@ def test_zero_one_weights_carry_roots_iff_connected():
 # Differential test on random supergraphs.
 
 @st.composite
-def supergraphs_with_free_connected_weights(draw, max_n=5, max_ht=5):
-    """A supergraph on at most ``max_n`` vertices with random psi, psi0 and
-    real vertices, and a free weight with connected support of height at
+def supergraphs_with_free_connected_weights(draw, min_n=1, max_n=5, max_ht=5):
+    """A supergraph on ``min_n`` to ``max_n`` vertices with random psi, psi0
+    and real vertices, and a free weight with connected support of height at
     most ``max_ht``, grown one letter at a time next to the support."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     psi = draw(st.sets(st.integers(0, n - 1)))
     psi0 = draw(st.sets(st.sampled_from(sorted(psi)))) if psi else set()
     even = [v for v in range(n) if v not in psi0]
     real = draw(st.sets(st.sampled_from(even))) if even else set()
-    graph = Supergraph("abcde"[:n], edges, psi=psi, real=real, psi0=psi0)
+    graph = Supergraph("abcdefg"[:n], edges, psi=psi, real=real, psi0=psi0)
     bounded = graph.real | graph.psi0
     k = [0] * n
     k[draw(st.integers(0, n - 1))] = 1
@@ -271,6 +361,13 @@ def test_recursion_matches_super_lyndon_count_on_random_supergraphs(case):
     odd_square = any(weight_parity(graph, tuple(x // l for x in k))
                      for l in divisors(math.gcd(*k)) if l % 2 == 0)
     assert odd_square or record.agree
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(supergraphs_with_free_connected_weights(min_n=5, max_n=7, max_ht=9))
+def test_integer_kernel_matches_the_fraction_routes_on_random_supergraphs(case):
+    """Graphs too big for the heap count to be an oracle."""
+    assert_matches_oracle(*case)
 
 
 # ---------------------------------------------------------------------------
