@@ -413,6 +413,11 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The memoized kernels recurse once per unit of height.
+        print("error: the weight is too tall: maximum recursion depth exceeded",
+              file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader of stdout is gone (``freeroots ... | head``).  Point
         # stdout at devnull so that the interpreter's final flush of what

@@ -2,10 +2,13 @@
 
 A heap is a finite pile of pieces, one vertex each, where pieces on equal or
 adjacent positions must sit on distinct levels and every raised piece rests
-on one below it.  Heaps are the commutation classes of words: dropping the
-letters of a word one by one, each to the lowest level compatible with the
-pieces already placed, yields the canonical representative of its class, and
-the map is a monoid morphism onto superposition.
+on one below it.  Heaps are the commutation classes of words; a heap is
+identified by its standard word, and its pieces are computed from the word
+only when read.  One insertion rule builds every word: a letter laid on top
+moves left over the letters it commutes with, and stops before the first
+of those that ranks below it.  It gives the heap of a word, the product of
+two heaps, with the crossings that sign a super product, and the word in
+the order that makes a base least.
 
 The total order on heaps compares standard words (the lexicographically
 greatest linearization, shorter words preceding their extensions), and the
@@ -41,54 +44,67 @@ from .supergraph import Supergraph, plain, check_weight, weight_gcd, divide_weig
 
 
 class Heap:
-    """Canonical heap of pieces; a piece is a ``(position, level)`` pair.
+    """A heap, identified by its standard word; a piece is a ``(position, level)`` pair.
 
     Instances are interned, immutable, hashable and equal when their graph
-    is the same object (graphs are canonical) and their pieces are equal, so
-    a heap kept across :func:`freeroots.clear_caches` equals the one built
-    after it.  ``pieces`` is in drop order, sorted by ``(level, position)``:
-    the minimal pieces, those on level 0, come first.  ``_shared`` is
+    is the same object (graphs are canonical) and their standard words are
+    equal, so a heap kept across :func:`freeroots.clear_caches` equals the
+    one built after it.  ``pieces`` is in drop order, sorted by ``(level,
+    position)``: the minimal pieces, those on level 0, come first.  ``_shared`` is
     the heap over the plain twin: the heap itself over a plain graph.  Use
     :func:`heap_from_word` or :func:`heap_from_pieces` to construct.
     """
 
-    __slots__ = ("graph", "pieces", "_shared", "_hash", "_st")
+    __slots__ = ("graph", "_word", "_shared", "_hash", "_pieces")
 
-    def __init__(self, graph: Supergraph, pieces: tuple, shared=None):
+    def __init__(self, graph: Supergraph, word: tuple, shared=None):
         self.graph = graph
-        self.pieces = pieces
+        self._word = word
         self._shared = self if shared is None else shared  # empty heaps are falsy
-        self._hash = hash((graph, pieces))
-        self._st = None
+        self._hash = hash((graph, word))
+        self._pieces = None
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Heap):
             return NotImplemented
-        return self.graph is other.graph and self.pieces == other.pieces
+        return self.graph is other.graph and self._word == other._word
 
     def __hash__(self):
         return self._hash
 
     def __len__(self):
-        return len(self.pieces)
+        return len(self._word)
+
+    @property
+    def pieces(self) -> tuple[tuple[int, int], ...]:
+        """Each letter one level above the last it does not commute with."""
+        shared = self._shared
+        if shared._pieces is None:  # computed once, for every psi
+            tops, zn, pieces = [-1] * self.graph.n, self.graph.zeta_neighbors, []
+            for p in self._word:  # zn[p] holds p itself
+                tops[p] = max(map(tops.__getitem__, zn[p])) + 1
+                pieces.append((p, tops[p]))
+            shared._pieces = tuple(sorted(pieces, key=_DROP_ORDER))
+        return shared._pieces
 
     def weight(self) -> tuple[int, ...]:
         k = [0] * self.graph.n
-        for p, _ in self.pieces:
+        for p in self._word:
             k[p] += 1
         return tuple(k)
 
     def parity(self) -> int:
-        return sum(1 for p, _ in self.pieces if p in self.graph.psi) & 1
+        psi = self.graph.psi
+        return sum(p in psi for p in self._word) & 1
 
     def word(self) -> str:
         """Standard word with vertex names (dot-joined unless single chars)."""
-        return _spell(self.graph, standard_word(self))
+        return _spell(self.graph, self._word)
 
     def __repr__(self):
-        return f"Heap({self.word()})" if self.pieces else "Heap(0)"
+        return f"Heap({self.word()})" if self._word else "Heap(0)"
 
     def to_json(self):
         return {"pieces": [[self.graph.names[p], lvl] for p, lvl in self.pieces]}
@@ -105,41 +121,53 @@ def _spell(graph: Supergraph, word) -> str:
 _REGISTRY: dict[Supergraph, dict[tuple, Heap]] = {}
 
 
-def _intern(graph: Supergraph, pieces: tuple) -> Heap:
-    """The pooled heap of these pieces, in drop order, over ``graph``."""
+def _intern(graph: Supergraph, word: tuple) -> Heap:
+    """The pooled heap with this standard word over ``graph``."""
     pool = _REGISTRY.get(graph)
     if pool is None:
         pool = _REGISTRY.setdefault(graph, {})
-    heap = pool.get(pieces)
+    heap = pool.get(word)
     if heap is None:  # setdefault keeps one heap when two threads race
-        shared = None if graph.is_plain() else _intern(plain(graph), pieces)
-        heap = pool.setdefault(pieces, Heap(graph, pieces, shared))
+        shared = None if graph.is_plain() else _intern(plain(graph), word)
+        heap = pool.setdefault(word, Heap(graph, word, shared))
     return heap
 
 
 _DROP_ORDER = operator.itemgetter(1, 0)  # (level, position): the order of Heap.pieces
 
 
-def _drop(graph: Supergraph, pieces, positions) -> Heap:
-    """Drop each position in turn onto the pile ``pieces``, as low as it fits."""
-    tops = [-1] * graph.n
-    for p, lvl in pieces:  # in drop order, so a position's top comes last
-        tops[p] = lvl
-    pieces = list(pieces)
-    zn = graph.zeta_neighbors
-    for p in positions:
-        level = 0
-        for j in zn[p]:
-            if tops[j] >= level:
-                level = tops[j] + 1
-        tops[p] = level
-        pieces.append((p, level))
-    return _intern(graph, tuple(sorted(pieces, key=_DROP_ORDER)))
+def _insert(graph: Supergraph, word, letters, rank) -> tuple[tuple[int, ...], int]:
+    """Lay ``letters`` in turn on the heap of ``word``; its word and crossings.
+
+    Words are greatest in their class when positions compare by ``rank``.
+    A letter b laid on top is maximal, so the greedy linearization (take
+    the greatest minimal piece) takes the old letters in their order, and
+    b as soon as every letter it does not commute with is taken and the
+    next old letter ranks below b.  Bit ``b * n + x`` of the crossings
+    records that the letters b passed an odd number of letters x.
+    """
+    zeta, n = graph.zeta, graph.n
+    out = list(word)
+    crossings = 0
+    for b in letters:
+        zb, rb = zeta[b], rank[b]
+        at = i = len(out)
+        seen = passed = 0  # the letters from i on, and from at on, as parities
+        while i and not zb >> out[i - 1] & 1:
+            i -= 1
+            x = out[i]
+            seen ^= 1 << x
+            if rank[x] < rb:
+                at, passed = i, seen
+        out.insert(at, b)
+        crossings ^= passed << b * n
+    return tuple(out), crossings
 
 
 def heap_from_word(graph: Supergraph, letters) -> Heap:
-    """Drop the letters in order; commuting words give the same heap."""
-    return _drop(graph, (), map(graph.index, letters))
+    """The heap of a word; commuting words give the same heap."""
+    word, _ = _insert(graph, (), map(graph.index, letters), range(graph.n))
+    return _intern(graph, word)
 
 
 def heap_from_pieces(graph: Supergraph, pieces) -> Heap:
@@ -153,63 +181,45 @@ def empty_heap(graph: Supergraph) -> Heap:
 
 
 def single(graph: Supergraph, v) -> Heap:
-    return _intern(graph, ((graph.index(v), 0),))
+    return _intern(graph, (graph.index(v),))
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _superpose_plain(left: Heap, right: Heap) -> Heap:
-    return _drop(left.graph, left.pieces, (p for p, _ in right.pieces))
+def _superpose_plain(left: Heap, right: Heap) -> tuple[Heap, int]:
+    graph = left.graph
+    word, crossings = _insert(graph, left._word, right._word, range(graph.n))
+    return _intern(graph, word), crossings
+
+
+def _superpose(left: Heap, right: Heap) -> tuple[Heap, int]:
+    """:func:`superpose` and the crossings of :func:`_insert`, shared by every psi."""
+    graph = left.graph
+    if graph is not right.graph:
+        raise InputError("superposition needs a common supergraph")
+    heap, crossings = _superpose_plain(left._shared, right._shared)
+    return _intern(graph, heap._word), crossings
 
 
 def superpose(left: Heap, right: Heap) -> Heap:
     """Let ``right`` fall on top of ``left``; the monoid product."""
-    graph = left.graph
-    if graph is not right.graph:
-        raise InputError("superposition needs a common supergraph")
-    return _intern(graph, _superpose_plain(left._shared, right._shared).pieces)
+    return _superpose(left, right)[0]
 
 
 def standard_word(heap: Heap) -> tuple[int, ...]:
     """Lexicographically greatest linearization, as a tuple of positions.
 
-    Greedy: among the currently minimal pieces (no remaining piece below
-    them) take the one with the greatest position.  Minimal pieces occupy
-    pairwise non-adjacent distinct positions, so the choice is unique and
-    the greedy word dominates every other linearization letter by letter.
+    Minimal pieces occupy pairwise non-adjacent distinct positions, so the
+    greatest minimal piece is unique, and taking it at each step gives a
+    word that dominates every other linearization letter by letter.
     """
-    heap = heap._shared
-    if heap._st is None:
-        heap._st = _base_first_word(heap, 0)
-    return heap._st
+    return heap._word
 
 
 def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
-    """The standard word in the order that makes position ``base`` least.
-
-    :func:`standard_word`'s greedy loop, taking ``base`` last among the
-    minimal pieces; base 0 gives the standard word.  The word is a tuple
-    of the graph's positions, and it is not cached.  Pieces on equal
-    or adjacent positions are ordered by level, so the lowest remaining
-    piece of a position is minimal exactly when it lies below the lowest
-    remaining piece of every neighbouring position.
-    """
-    m = len(heap.pieces)
-    zn = heap.graph.zeta_neighbors
-    stacks = [[m] for _ in zn]  # remaining levels per position, lowest last
-    for p, lvl in reversed(heap.pieces):
-        stacks[p].append(lvl)
-    low = [st[-1] for st in stacks]  # m once a position is used up
-    at = low.__getitem__
-    order = (*range(len(zn) - 1, base, -1), *range(base - 1, -1, -1), base)
-    out = []
-    for _ in range(m):
-        for p in order:  # zn[p] holds p itself, so the min is at most low[p]
-            if low[p] < m and min(map(at, zn[p])) == low[p]:
-                break
-        stacks[p].pop()
-        low[p] = stacks[p][-1]
-        out.append(p)
-    return tuple(out)
+    """The standard word in the order that makes position ``base`` least,
+    as a tuple of the graph's positions; not cached."""
+    rank = [-1 if p == base else p for p in range(heap.graph.n)]
+    return _insert(heap.graph, (), heap._word, rank)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +257,29 @@ def _standard_words(graph: Supergraph, cap, base: int = 0):
 
 
 def _heaps_with_words(graph: Supergraph, k, base: int = 0) -> list[tuple[Heap, tuple]]:
-    """Heaps of weight k, ascending, with their words in ``base``-least order."""
-    return [(_drop(graph, (), word), tuple(word))
-            for word, _ in _standard_words(graph, k, base) if len(word) == sum(k)]
+    """Heaps of weight k, ascending, with their words in ``base``-least order.
+
+    Base 0 orders positions as standard words do; the words of another base
+    are laid again in the graph's order.
+    """
+    out, m = [], sum(k)
+    for word, _ in _standard_words(graph, k, base):
+        if len(word) == m:
+            word = tuple(word)
+            st = _insert(graph, (), word, range(graph.n))[0] if base else word
+            out.append((_intern(graph, st), word))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
-    found = _heaps_with_words(graph, k)
-    for heap, word in found:
-        heap._st = word
-    return tuple(heap for heap, _ in found)
+    return tuple(heap for heap, _ in _heaps_with_words(graph, k))
 
 
 def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All heaps of weight exactly ``k``, ascending in the heap order."""
     k = check_weight(graph, k)
-    return tuple(_intern(graph, h.pieces) for h in _enumerate_plain(plain(graph), k))
+    return tuple(_intern(graph, h._word) for h in _enumerate_plain(plain(graph), k))
 
 
 def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
@@ -272,7 +288,7 @@ def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...
     cap = check_weight(graph, cap)
     table = [[] for _ in weights_up_to(cap)]
     for word, code in _standard_words(graph, cap):
-        table[code].append(_drop(graph, (), word))
+        table[code].append(_intern(graph, tuple(word)))
     return dict(zip(weights_up_to(cap), map(tuple, table)))
 
 
@@ -341,7 +357,7 @@ def is_periodic(heap: Heap) -> bool:
         for f in _enumerate_plain(target.graph, root_weight):
             power = f
             for _ in range(d - 1):
-                power = _superpose_plain(power, f)
+                power = _superpose_plain(power, f)[0]
             if power == target:
                 return True
     return False
@@ -355,7 +371,7 @@ def is_primitive(heap: Heap) -> bool:
     leaves a single root.)  The brute-force form of the definition is kept
     in the test suite as an oracle.
     """
-    if not heap.pieces:
+    if not heap:
         return False
     return is_connected_support(heap.graph, heap.weight()) and not is_periodic(heap)
 
@@ -399,7 +415,7 @@ def word_standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...],
 
 def is_lyndon(heap: Heap) -> bool:
     """Whether the heap is Lyndon: nonempty with a Lyndon standard word."""
-    return bool(heap.pieces) and is_lyndon_word(standard_word(heap))
+    return bool(heap) and is_lyndon_word(standard_word(heap))
 
 
 def is_super_lyndon(heap: Heap) -> bool:
@@ -471,7 +487,7 @@ def is_super_letter(heap: Heap) -> bool:
 
 def classify(heap: Heap) -> HeapClasses:
     """Flags per the definitions; admissibility is against the global order."""
-    if not heap.pieces:
+    if not heap:
         raise InputError("cannot classify the empty heap")
     pyramid = is_pyramid(heap)
     base = heap.pieces[0][0]

@@ -4,7 +4,8 @@ Heaps index a basis of the enveloping algebra, so Lie elements are exact
 integer combinations of heaps and every identity here is checked by
 expanding.  The product of basis elements is the signed superposition
 ``u_E u_F = +-u_{EoF}``, the sign counting the odd letters that odd letters
-pass in rewriting st(E) st(F) into st(EoF).  The super bracket
+pass in rewriting st(E) st(F) into st(EoF), as recorded while the product
+is built.  The super bracket
 ``[x, y] = x o y - (-1)^{p(x) p(y)} y o x`` of parity-homogeneous operands
 sums both products of each pair of terms into one polynomial.
 
@@ -25,7 +26,7 @@ from itertools import compress, count
 
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
-from .heaps import (Heap, superpose, single, standard_word,
+from .heaps import (Heap, _superpose, single, standard_word,
                     enumerate_heaps, super_lyndon_heaps, is_pyramid, is_super_lyndon,
                     heaps_up_to, is_super_lyndon_word, word_standard_factorization,
                     _heaps_with_words, _cut_super_letters, _spell)
@@ -73,10 +74,6 @@ class LieMonomial:
         for name in self.leaves():
             k[graph.index(name)] += 1
         return tuple(k)
-
-    def parity(self, graph: Supergraph) -> int:
-        return sum(1 for name in self.leaves()
-                   if graph.index(name) in graph.psi) & 1
 
     def __str__(self):
         if self.is_leaf:
@@ -189,39 +186,20 @@ class HeapPolynomial:
         return " + ".join(f"{c}*{h.word()}" for h, c in self.sorted_terms())
 
 
-def rewriting_sign(graph: Supergraph, word, target) -> int:
-    """Sign picked up rewriting one linearization of a heap into another.
-
-    Interchanging two odd letters costs -1 and equal letters never reorder,
-    so take each odd letter of ``target`` in turn from its first remaining
-    occurrence among the odd letters of ``word``: the sign is -1 to the
-    number of odd letters it passes.
-    """
-    psi = graph.psi
-    rest = [v for v in word if v in psi]
-    passed = 0
-    for v in target:
-        if v in psi:
-            i = rest.index(v)
-            passed += i
-            del rest[i]
-    return -1 if passed & 1 else 1
-
-
 @functools.lru_cache(maxsize=1 << 18)
 def signed_superpose(e: Heap, f: Heap) -> tuple[Heap, int]:
     """Product of the basis elements indexed by e and f.
 
     The basis element of a heap is the image of its standard word, so the
     product is the image of the concatenation: the heap e o f together
-    with the sign of rewriting st(e) st(f) into st(e o f).
+    with the sign of rewriting st(e) st(f) into st(e o f).  Laying st(f) on
+    st(e) is such a rewriting, and each interchange of odd letters costs -1.
     """
-    h = superpose(e, f)
     graph = e.graph
-    if not graph.psi:
-        return h, 1
-    word = standard_word(e) + standard_word(f)
-    return h, rewriting_sign(graph, word, standard_word(h))
+    h, crossings = _superpose(e, f)
+    odd = sum(1 << p for p in graph.psi)
+    odd_pairs = sum(odd << p * graph.n for p in graph.psi)
+    return h, -1 if (crossings & odd_pairs).bit_count() & 1 else 1
 
 
 def bracket_expand(p: HeapPolynomial, q: HeapPolynomial) -> HeapPolynomial:
@@ -488,7 +466,7 @@ def lambda_equals_e(heap: Heap) -> bool:
     the expansions can still collide via vanishing brackets of commuting
     pairs.)
     """
-    if not heap.pieces:
+    if not heap:
         raise InputError("empty heap")
     if not is_pyramid(heap) or heap.weight()[heap.pieces[0][0]] != 1:
         raise InputError(f"{heap!r} is not a super-letter")

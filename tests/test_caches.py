@@ -49,7 +49,7 @@ def test_clear_caches_empties_every_cache_and_the_registry(path6):
 
 
 def test_heaps_kept_across_clear_caches_equal_the_rebuilt_ones(path6):
-    """Heaps compare by graph and pieces, so old values still read new heaps."""
+    """Heaps compare by graph and standard word, so old values still read new heaps."""
     for graph in (path6, plain(path6)):
         k = (0, 0, 2, 1, 2, 1)
         old_heaps = enumerate_heaps(graph, k)

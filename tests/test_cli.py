@@ -301,6 +301,19 @@ def test_verify_all_fails_route_agreement_on_a_shifted_log_count(
     assert failed == {"dimension agreement", "chromatic route agreement"}, failed
 
 
+@pytest.mark.parametrize("command", ["mult", "chromatic"])
+def test_tall_weight_is_one_error_line(command, tree6_file, capsys, fresh_caches):
+    """Past the recursion limit a command fails with one line, no traceback.
+
+    The caches start empty, so how deep the kernels recurse does not depend
+    on the weights that earlier tests computed.
+    """
+    assert main([command, "--graph", tree6_file, "--weight", "0,0,250,0,0,250"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the weight is too tall: maximum recursion depth exceeded\n"
+
+
 def test_seed_rejected(tree6_file, capsys):
     assert main(["mult", "--graph", tree6_file, "--weight", "0,0,3,0,0,3",
                  "--seed", "7"]) == 1

@@ -22,6 +22,7 @@ from freeroots import heaps, superlie
 from freeroots.supergraph import plain, support, weights_up_to
 from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
+from heap_oracles import drop, greedy_word, rewriting_sign
 
 THREE_VERTEX_EDGE_SETS = [(), ((0, 1),), ((0, 2),), ((1, 2),),
                           ((0, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 2)),
@@ -171,6 +172,100 @@ def test_canonical_form_invariants(p4_odd):
 
 
 # ---------------------------------------------------------------------------
+# The insertion rule, against the oracles on pieces.
+
+def oracle_heaps_by_height(graph, height):
+    """The pieces of every heap of each height <= ``height``, by dropping."""
+    levels = [{()}]
+    for _ in range(height):
+        levels.append({drop(graph, ps, [p]) for ps in levels[-1] for p in range(graph.n)})
+    return levels
+
+
+def odd_pairs(graph):
+    """The bits ``b * n + x`` of the crossings with both b and x odd."""
+    odd = sum(1 << p for p in graph.psi)
+    return sum(odd << p * graph.n for p in graph.psi)
+
+
+def assert_insertion_matches_oracles(graph, pairs, words, oracle_signs):
+    """``_insert`` against the oracles on the pairs of pieces ``(e, f)``.
+
+    Laying st(f) on st(e) must give the standard word of the dropped
+    product, and for every psi the parity of the crossings between odd
+    letters must give the sign of rewriting st(e) st(f) into it.  In the
+    order that makes each base least, laying st(f) on e's word must give
+    the product's.  ``words`` maps pieces to their greedy word for each
+    base; ``oracle_signs`` caches the signs of one rewriting for each psi
+    on the graph's vertices.  Returns the number of pairs.
+    """
+    views = [Supergraph(graph.names, graph.edges, psi=psi) for r in range(graph.n + 1)
+             for psi in itertools.combinations(range(graph.n), r)]
+    masks = [odd_pairs(view) for view in views]
+    ranks = [[-1 if p == b else p for p in range(graph.n)] for b in range(graph.n)]
+    count = 0
+    for e, f in pairs:
+        u, v = words[e][0], words[f][0]
+        want = words[drop(graph, e, v)]
+        word, crossings = heaps._insert(graph, u, v, range(graph.n))
+        assert word == want[0], (graph, u, v)
+        key = (graph.n, u + v, word)
+        if key not in oracle_signs:
+            oracle_signs[key] = [rewriting_sign(view, u + v, word) for view in views]
+        assert [-1 if (crossings & m).bit_count() & 1 else 1 for m in masks] == \
+            oracle_signs[key], (graph, u, v)
+        for b in range(1, graph.n):
+            laid, _ = heaps._insert(graph, words[e][b], v, ranks[b])
+            assert laid == want[b], (graph, u, v, b)
+        count += 1
+    return count
+
+
+def assert_words_match_oracles(graph, pieces):
+    """The heap of each oracle standard word has the oracle's pieces and
+    base-first words; returns the oracle's words, keyed by pieces."""
+    words = {}
+    for ps in pieces:
+        words[ps] = [greedy_word(graph, ps, b) for b in range(graph.n)]
+        heap = heaps.Heap(graph, words[ps][0])
+        assert heap.pieces == ps
+        assert [heaps._base_first_word(heap, b) for b in range(graph.n)] == words[ps]
+    return words
+
+
+def test_insertion_matches_the_oracles_on_small_supergraphs():
+    """Every graph on <= 4 vertices, every psi, every pair of heaps of total
+    height <= 6 and every base."""
+    oracle_signs, count = {}, 0
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            levels = oracle_heaps_by_height(graph, 6)
+            words = assert_words_match_oracles(graph, set().union(*levels))
+            pairs = ((e, f) for a in range(7) for e in levels[a]
+                     for b in range(7 - a) for f in levels[b])
+            count += assert_insertion_matches_oracles(graph, pairs, words, oracle_signs)
+    assert count == 976030
+
+
+@st.composite
+def _supergraphs_with_word_pairs(draw):
+    n = draw(st.integers(5, 6))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    words = st.lists(st.integers(0, n - 1), max_size=6)
+    return Supergraph("abcdef"[:n], edges), draw(words), draw(words)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_supergraphs_with_word_pairs())
+def test_insertion_matches_the_oracles_on_random_supergraphs(case):
+    graph, u, v = case
+    e, f = drop(graph, (), u), drop(graph, (), v)
+    product = drop(graph, e, greedy_word(graph, f))
+    words = assert_words_match_oracles(graph, {e, f, product})
+    assert_insertion_matches_oracles(graph, [(e, f)], words, {})
+
+
+# ---------------------------------------------------------------------------
 # The total order.
 
 def test_letter_order(edge36):
@@ -255,34 +350,37 @@ def test_heaps_up_to_keys(p4):
 def superposed_heaps(graph, k, base, memo):
     """The superpose-dedupe-sort enumeration the standard-word walk replaced.
 
-    Each heap of weight k - e_i gets a piece on vertex i on top; the set of
-    products is sorted by the word in the order that makes ``base`` least.
-    Returns the sorted heaps with those words.
+    Each heap of weight k - e_i gets a piece on vertex i dropped on top; the
+    set of products is sorted by the greedy word in the order that makes
+    ``base`` least.  Both are the oracles on pieces, so nothing here goes
+    through the library's insertion rule.  Returns the sorted pieces of
+    the heaps with those words.
     """
     def build(k):
         if k not in memo:
             if not any(k):
-                memo[k] = {empty_heap(graph)}
+                memo[k] = {()}
             else:
-                memo[k] = {superpose(h, single(graph, i))
+                memo[k] = {drop(graph, ps, [i])
                            for i in support(k)
-                           for h in build(k[:i] + (k[i] - 1,) + k[i + 1:])}
+                           for ps in build(k[:i] + (k[i] - 1,) + k[i + 1:])}
         return memo[k]
 
     rank = [-1 if p == base else p for p in range(graph.n)]
-    words = {h: heaps._base_first_word(h, base) for h in build(k)}
-    ordered = sorted(words, key=lambda h: [rank[p] for p in words[h]])
-    return ordered, [words[h] for h in ordered]
+    words = {ps: greedy_word(graph, ps, base) for ps in build(k)}
+    ordered = sorted(words, key=lambda ps: [rank[p] for p in words[ps]])
+    return ordered, [words[ps] for ps in ordered]
 
 
 def assert_walk_matches_superposition(graph, k, memo):
     for base in support(k):
         found = heaps._heaps_with_words(graph, k, base)
-        want_heaps, want_words = superposed_heaps(graph, k, base, memo)
-        assert [h for h, _ in found] == want_heaps, (graph, k, base)
+        want_pieces, want_words = superposed_heaps(graph, k, base, memo)
+        assert [h.pieces for h, _ in found] == want_pieces, (graph, k, base)
         assert [w for _, w in found] == want_words, (graph, k, base)
     if any(k):  # base 0 orders the heaps of every weight, whatever the support
-        assert list(enumerate_heaps(graph, k)) == superposed_heaps(graph, k, 0, memo)[0]
+        assert [h.pieces for h in enumerate_heaps(graph, k)] == \
+            superposed_heaps(graph, k, 0, memo)[0]
 
 
 def test_standard_word_walk_matches_superposition_on_small_graphs():
@@ -759,9 +857,10 @@ def test_annotated_pools_share_the_plain_twins_heaps(path6, tree6):
     assert path6 in annotated and tree6 in annotated
     for g, pool in heaps._REGISTRY.items():
         twins = heaps._REGISTRY[plain(g)]
-        for pieces, h in pool.items():
-            assert h.graph is g and h.pieces == pieces
-            assert h._shared is twins[pieces] and h._shared._shared is h._shared
+        for word, h in pool.items():  # a pool is keyed by standard words
+            assert h.graph is g and standard_word(h) == word
+            assert h._shared is twins[word] and h._shared._shared is h._shared
+            assert h.pieces is h._shared.pieces
 
 
 def test_threads_building_one_heap_get_one_object(path6):

@@ -10,7 +10,7 @@ from freeroots import InputError, ConsistencyError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, single, superpose,
                              standard_word, enumerate_heaps,
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
-                             classify, heaps_up_to, is_pyramid, _base_first_word)
+                             classify, heaps_up_to, is_pyramid)
 from freeroots import heaps
 from freeroots.supergraph import (is_connected_support, support, weights_up_to,
                                   load_graph, plain)
@@ -18,8 +18,9 @@ from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, exp
                                 leaf, bracket, left_normed, lambda_monomial,
                                 _expand_lambda, lyndon_heap_basis,
                                 super_letter_alphabet, lln_basis,
-                                lambda_equals_e, span_membership, rewriting_sign,
+                                lambda_equals_e, span_membership,
                                 integer_rank, solve_exact, signed_superpose)
+from heap_oracles import drop, greedy_word, rewriting_sign
 from test_golden import BASIS_WEIGHTS, ROOT
 
 
@@ -124,9 +125,15 @@ def concat(x, y):
 
 
 def _assert_sign_matches_oracle(e, f):
+    """The product and sign against the oracles on pieces: the dropped
+    product, and the sign of rewriting the concatenated greedy words into
+    the product's."""
+    g = e.graph
     h, sign = signed_superpose(e, f)
-    word = standard_word(e) + standard_word(f)
-    assert sign == dict_rewriting_sign(e.graph, word, standard_word(h)), (e, f)
+    word = greedy_word(g, e.pieces) + greedy_word(g, f.pieces)
+    product = drop(g, e.pieces, word[len(e):])
+    assert h.pieces == product, (e, f)
+    assert sign == dict_rewriting_sign(g, word, greedy_word(g, product)), (e, f)
 
 
 def test_signed_superpose_sign_matches_dict_oracle(path6):
@@ -864,7 +871,7 @@ def test_certificates_pivot_on_the_least_heaps(path, weight):
     for base in support(k):
         # an lln certificate's columns are the heaps in the order that makes the base least
         b = graph.index(base)
-        order = lambda h: tuple(-1 if p == b else p for p in _base_first_word(h, b))
+        order = lambda h: tuple(-1 if p == b else p for p in greedy_word(graph, h.pieces, b))
         basis = lln_basis(graph, k, base)
         column = {h: i for i, h in enumerate(sorted(enumerate_heaps(graph, k), key=order))}
         assert basis.certificate.pivot_columns == tuple(
