@@ -66,6 +66,11 @@ def _cases():
     for cls in ("lyndon", "super-lyndon"):
         out.append(["heaps", "enumerate", *odd_square, "--class", cls, "--json"])
     out.append(["verify", "triangular", *odd_square, "--json"])
+    # [[2,3],[2,3]] is an lln element only because 23 is odd; base 1 is the graph's first vertex
+    for weight, base in (("0,2,2,0,0,0", "2"), ("0,2,2,0,0,0", "3"), ("1,1,2,1,0,0", "1")):
+        argv = ["basis", "lln", "--graph", "sample_graphs/path6.json", "--weight", weight,
+                "--base", base]
+        out += [argv, argv + ["--json"]] if base == "2" else [argv + ["--json"]]
     for method in ("recursion", "closed", "both"):
         out.append(["mult", "--graph", "sample_graphs/path6.json", "--weight",
                     "0,0,2,1,2,1", "--method", method, "--json"])
