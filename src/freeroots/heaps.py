@@ -21,9 +21,11 @@ the base least, cut before each base letter.  Conjugacy classes and
 decompositions stay public, and the squares of odd Lyndon heaps are built
 and square roots searched for in the test suite, as the definitions the
 word rules are checked against.  Enumeration is a depth-first search over
-standard words: each heap once, ascending.  The (super) Lyndon heaps of a
-weight are that enumeration filtered by the word test, and one walk over a
-cap counts them per weight with the same test.
+standard words: each heap once, ascending.  It is the one source of heap
+lists, cached per plain graph and weight: the (super) Lyndon heaps of a
+weight are that list filtered by the word test, the lln basis sorts it by
+the words in the order that makes its base least, and one walk over a cap
+counts heaps and super Lyndon heaps per weight with the same test.
 
 A heap lives on the adjacency; psi only gives its letters a parity.  Every
 heap is interned in one pool per graph, and a heap over a graph with psi,
@@ -225,16 +227,15 @@ def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
-def _standard_words(graph: Supergraph, cap, base: int = 0):
+def _standard_words(graph: Supergraph, cap):
     """Walk, ascending, the words of content <= cap greatest in their class.
 
-    In the order that makes ``base`` least, those are the words with no
-    letter that commutes left past a smaller one; they are prefix-closed,
-    so only the last letter is checked.  Each node yields the word (one
-    list, reused) and the index of its content in ``weights_up_to(cap)``.
+    Those are the words with no letter that commutes left past a smaller
+    one; they are prefix-closed, so only the last letter is checked.  Each
+    node yields the word (one list, reused) and the index of its content
+    in ``weights_up_to(cap)``.
     """
-    zeta, order = graph.zeta, sorted(range(graph.n), key=base.__ne__)  # base first
-    rank = [order.index(p) for p in range(graph.n)]
+    zeta, order = graph.zeta, range(graph.n)
     stride = [math.prod(c + 1 for c in cap[i + 1:]) for i in range(graph.n)]
     word, stack = [], [(iter(order), 0)]
     yield word, 0
@@ -244,7 +245,7 @@ def _standard_words(graph: Supergraph, cap, base: int = 0):
             if code // stride[b] % (cap[b] + 1) == cap[b]:
                 continue  # no b left
             i = len(word) - 1
-            while i >= 0 and not zeta[b] >> word[i] & 1 and rank[word[i]] > rank[b]:
+            while i >= 0 and not zeta[b] >> word[i] & 1 and word[i] > b:
                 i -= 1
             if i < 0 or zeta[b] >> word[i] & 1:  # b passes no smaller letter
                 word.append(b)
@@ -256,24 +257,11 @@ def _standard_words(graph: Supergraph, cap, base: int = 0):
             del word[-1:]
 
 
-def _heaps_with_words(graph: Supergraph, k, base: int = 0) -> list[tuple[Heap, tuple]]:
-    """Heaps of weight k, ascending, with their words in ``base``-least order.
-
-    Base 0 orders positions as standard words do; the words of another base
-    are laid again in the graph's order.
-    """
-    out, m = [], sum(k)
-    for word, _ in _standard_words(graph, k, base):
-        if len(word) == m:
-            word = tuple(word)
-            st = _insert(graph, (), word, range(graph.n))[0] if base else word
-            out.append((_intern(graph, st), word))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
-    return tuple(heap for heap, _ in _heaps_with_words(graph, k))
+    m = sum(k)
+    return tuple(_intern(graph, tuple(word)) for word, _ in _standard_words(graph, k)
+                 if len(word) == m)
 
 
 def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
@@ -282,14 +270,20 @@ def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     return tuple(_intern(graph, h._word) for h in _enumerate_plain(plain(graph), k))
 
 
+def _heaps_with_words(graph: Supergraph, k, base: int) -> list[tuple[Heap, tuple]]:
+    """The heaps of weight k with their words in the order that makes
+    ``base`` least, sorted by those words in that order."""
+    rank = [-1 if p == base else p for p in range(graph.n)]
+    found = [(heap, _base_first_word(heap, base)) for heap in enumerate_heaps(graph, k)]
+    return sorted(found, key=lambda pair: [rank[p] for p in pair[1]])
+
+
 def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
-    """Heaps for every weight componentwise <= cap, keyed by weight, from one
-    walk: a prefix of a standard word is the standard word of its heap."""
+    """:func:`enumerate_heaps` of every weight componentwise <= cap, keyed by
+    weight.  Each weight keeps its heap list in the enumeration cache, which
+    :func:`freeroots.clear_caches` empties."""
     cap = check_weight(graph, cap)
-    table = [[] for _ in weights_up_to(cap)]
-    for word, code in _standard_words(graph, cap):
-        table[code].append(_intern(graph, tuple(word)))
-    return dict(zip(weights_up_to(cap), map(tuple, table)))
+    return {w: enumerate_heaps(graph, w) for w in weights_up_to(cap)}
 
 
 # ---------------------------------------------------------------------------

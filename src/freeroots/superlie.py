@@ -424,12 +424,13 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
 
     The basis lives over ``graph``, and expands in the heap basis that
     :func:`lyndon_heap_basis` uses; the base only orders words.  The heaps
-    of weight k whose word in the order that makes ``base`` least is super
-    Lyndon index the basis, sorted by that word, as are the certificate's
-    columns.  Each heap's super-letter factorization is a super Lyndon
-    word over the alphabet, whose letters compare by their standard words;
-    its bracket tree follows the word's standard factorization and each
-    letter becomes the left-normed bracket of its standard word.
+    of weight k, the enumeration's list, are sorted by their words in the
+    order that makes ``base`` least, and index the certificate's columns
+    in that order; those whose word is super Lyndon index the basis.  Each
+    such heap's super-letter factorization is a super Lyndon word over the
+    alphabet, whose letters compare by their standard words; its bracket
+    tree follows the word's standard factorization and each letter becomes
+    the left-normed bracket of its standard word.
     """
     k = check_weight(graph, k)
     b = graph.index(base)

@@ -18,7 +18,7 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              standard_factorization, super_letter_factors,
                              is_super_letter, is_pyramid, word_class,
                              lyndon_words_of_content)
-from freeroots import heaps, superlie
+from freeroots import heaps
 from freeroots.supergraph import plain, support, weights_up_to
 from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
@@ -409,7 +409,8 @@ def test_standard_word_walk_matches_superposition_on_random_graphs(case):
 
 
 def test_heaps_up_to_walk_matches_enumeration():
-    """One walk over the cap files each heap under its weight, ascending."""
+    """Each weight under the cap, in the order of weights_up_to, holds the
+    enumeration of that weight."""
     for graph in all_graphs(3):
         for cap in ((2, 2, 2), (1, 0, 3), (0, 0, 0)):
             table = heaps_up_to(graph, cap)
@@ -433,21 +434,14 @@ def test_heap_counts_count_the_enumeration(tree6):
         tuple(len(square_construction(tree6, w)) for w in weights_up_to(cap)))
 
 
-def test_lln_basis_takes_its_base_first_words_from_the_walk(path6, monkeypatch):
-    """No heap of the weight has its base-first word recomputed."""
-    calls = []
-    original = heaps._base_first_word
-
-    def counted(heap, base):
-        calls.append(base)
-        return original(heap, base)
-
-    for module in (heaps, superlie):
-        if hasattr(module, "_base_first_word"):
-            monkeypatch.setattr(module, "_base_first_word", counted)
-    basis = lln_basis(path6, (0, 1, 2, 1, 1, 0), "5")
-    assert len(basis) > 0
-    assert [b for b in calls if b] == []
+def test_lln_bases_read_one_enumeration(path6):
+    """Every base and two psi of one adjacency sort the one cached heap list."""
+    k = (0, 1, 2, 1, 1, 0)
+    clear_caches()
+    for graph in (path6, Supergraph(path6.names, path6.edges, psi=[1, 2])):
+        for b in support(k):
+            assert len(lln_basis(graph, k, graph.names[b])) > 0
+    assert heaps._enumerate_plain.cache_info().misses == 1
 
 
 def test_enumeration_interns_only_the_heaps_of_the_weight(path6):
