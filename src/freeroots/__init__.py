@@ -15,20 +15,19 @@ from .supergraph import (Supergraph, BkmSupermatrix, validate_supermatrix,
                          ht, support, weight_parity)
 from .heaps import (Heap, heap_from_word, heap_from_pieces, superpose,
                     standard_word, enumerate_heaps, heaps_up_to,
-                    classify, standard_factorization, lyndon_heaps,
-                    super_lyndon_heaps, conjugacy_class, decompositions)
+                    classify, lyndon_heaps, super_lyndon_heaps,
+                    conjugacy_class)
 from .superlie import (LieMonomial, leaf, bracket, left_normed,
                        HeapPolynomial, bracket_expand, expand_monomial,
                        lambda_monomial, lyndon_heap_basis,
                        super_letter_alphabet, lln_basis, lambda_equals_e,
                        span_membership, GradedBasis, RankCertificate)
-from .chromatic import (RationalPoly, chromatic_poly_simple,
-                        linear_coefficient, k_chromatic_direct,
-                        k_chromatic_join, k_chromatic_bond, bond_lattice)
+from .chromatic import (RationalPoly, linear_coefficient,
+                        k_chromatic_direct, k_chromatic_join,
+                        k_chromatic_bond, bond_lattice)
 from .multiplicity import (mult_free_root, free_roots_up_to,
                            MultiplicityTable, MultRecord, verify_pbw,
-                           verify_cartier_foata, moebius,
-                           linear_coefficient_magnitude)
+                           verify_cartier_foata, moebius)
 
 from . import supergraph, heaps, superlie, chromatic, multiplicity
 

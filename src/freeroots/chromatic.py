@@ -166,11 +166,6 @@ def _choose(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # Chromatic polynomials.
 
-def chromatic_poly_simple(graph: Supergraph) -> RationalPoly:
-    """Classical chromatic polynomial via partitions into independent sets."""
-    return _from_binomial(_partition_counts(graph))
-
-
 @functools.lru_cache(maxsize=None)
 def _partition_counts(graph: Supergraph) -> tuple[int, ...]:
     """Binomial-basis coefficients m! p_m of the chromatic polynomial.
@@ -285,7 +280,6 @@ def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
 # ---------------------------------------------------------------------------
 # Bond lattice.
 
-@functools.lru_cache(maxsize=None)
 def _connected_subweights(graph: Supergraph, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     out = [w for w in weights_up_to(k) if any(w) and is_connected_support(graph, w)]
     return tuple(sorted(out, reverse=True))

@@ -180,8 +180,9 @@ def _cmd_validate(args):
 
 
 # ``heaps enumerate --class``: each class name and the test that picks its heaps
-_HEAP_CLASSES = {"heap": bool, "pyramid": hp.is_pyramid, "super-letter": hp.is_super_letter,
-                 "lyndon": hp.is_lyndon, "super-lyndon": hp.is_super_lyndon}
+_HEAP_CLASSES = {"heap": lambda heap: True, "pyramid": hp.is_pyramid,
+                 "super-letter": hp.is_super_letter, "lyndon": hp.is_lyndon,
+                 "super-lyndon": hp.is_super_lyndon}
 
 
 def _cmd_heaps_enumerate(args):

@@ -17,15 +17,16 @@ a heap is Lyndon exactly when its standard word is a Lyndon word (Lalonde);
 it is super Lyndon exactly when the word is Lyndon or the square of an odd
 Lyndon word; its standard factorization is the word's split; and its
 super-letter factors are the pieces of its word in the order that makes
-the base least, cut before each base letter.  Conjugacy classes and
-decompositions stay public, and the squares of odd Lyndon heaps are built
-and square roots searched for in the test suite, as the definitions the
-word rules are checked against.  Enumeration is a depth-first search over
-standard words: each heap once, ascending.  It is the one source of heap
-lists, cached per plain graph and weight: the (super) Lyndon heaps of a
-weight are that list filtered by the word test, the lln basis sorts it by
-the words in the order that makes its base least, and one walk over a cap
-counts heaps and super Lyndon heaps per weight with the same test.
+the base least, cut before each base letter.  Decompositions, the
+factorization by the least Lyndon right factor, the squares of odd Lyndon
+heaps and the search for square roots live in the test suite, as the
+definitions the word rules are checked against.  Enumeration is a
+depth-first search over standard words: each heap once, ascending.  It is
+the one source of heap lists, cached per plain graph and weight: the
+(super) Lyndon heaps of a weight are that list filtered by the word test,
+the lln basis sorts it by the words in the order that makes its base
+least, and one walk over a cap counts heaps and super Lyndon heaps per
+weight with the same test.
 
 A heap lives on the adjacency; psi only gives its letters a parity.  Every
 heap is interned in one pool per graph, and a heap over a graph with psi,
@@ -36,7 +37,6 @@ words, enumeration and Lyndon structure are computed once for every psi.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -217,11 +217,15 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
     return heap._word
 
 
+def _base_least(graph: Supergraph, base: int) -> list[int]:
+    """The rank of each position in the order that makes position ``base`` least."""
+    return [-1 if p == base else p for p in range(graph.n)]
+
+
 def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
     """The standard word in the order that makes position ``base`` least,
     as a tuple of the graph's positions; not cached."""
-    rank = [-1 if p == base else p for p in range(heap.graph.n)]
-    return _insert(heap.graph, (), heap._word, rank)[0]
+    return _insert(heap.graph, (), heap._word, _base_least(heap.graph, base))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +277,7 @@ def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
 def _heaps_with_words(graph: Supergraph, k, base: int) -> list[tuple[Heap, tuple]]:
     """The heaps of weight k with their words in the order that makes
     ``base`` least, sorted by those words in that order."""
-    rank = [-1 if p == base else p for p in range(graph.n)]
+    rank = _base_least(graph, base)
     found = [(heap, _base_first_word(heap, base)) for heap in enumerate_heaps(graph, k)]
     return sorted(found, key=lambda pair: [rank[p] for p in pair[1]])
 
@@ -287,27 +291,9 @@ def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...
 
 
 # ---------------------------------------------------------------------------
-# Decompositions and conjugacy.
-
-def decompositions(heap: Heap):
-    """All splits ``heap = left o right`` with both parts nonempty.
-
-    The right parts are exactly the nonempty proper subsets closed upward
-    under "higher level on an equal or adjacent position", the relation
-    that generates the heap order; each part is re-canonicalized.
-    """
-    ps = heap.pieces
-    m = len(ps)
-    zeta = heap.graph.zeta
-    above = [sum(1 << j for j, (q, lj) in enumerate(ps) if lj > li and zeta[p] >> q & 1)
-             for p, li in ps]
-    for sub in range(1, (1 << m) - 1):
-        if any(sub >> i & 1 and above[i] & ~sub for i in range(m)):
-            continue
-        right = heap_from_pieces(heap.graph, [ps[i] for i in range(m) if sub >> i & 1])
-        left = heap_from_pieces(heap.graph, [ps[i] for i in range(m) if not sub >> i & 1])
-        yield left, right
-
+# Conjugacy and classification.  No program path calls ``conjugacy_class``,
+# ``lyndon_heaps`` or ``classify``; they stay, with the helpers they call,
+# because the benchmark's tracing pins them as spans.
 
 def _min_rotations(heap: Heap):
     """Transposes that move one minimal piece to the top.
@@ -470,13 +456,13 @@ def is_pyramid(heap: Heap) -> bool:
     return bool(ps) and (len(ps) == 1 or ps[1][1] > 0)
 
 
-def is_super_letter(heap: Heap) -> bool:
-    """A single minimal piece, on vertex 0, which the heap uses once.
+def is_super_letter(heap: Heap, base: int = 0) -> bool:
+    """A single minimal piece, on position ``base``, which the heap uses once.
 
-    The same as ``classify(heap).super_letter`` (false for the empty heap),
-    without the primitivity and Lyndon tests.
+    At base 0 the same as ``classify(heap).super_letter`` (false for the
+    empty heap), without the primitivity and Lyndon tests.
     """
-    return is_pyramid(heap) and heap.pieces[0][0] == 0 and heap.weight()[0] == 1
+    return is_pyramid(heap) and heap.pieces[0][0] == base and heap.weight()[base] == 1
 
 
 def classify(heap: Heap) -> HeapClasses:
@@ -487,37 +473,13 @@ def classify(heap: Heap) -> HeapClasses:
     base = heap.pieces[0][0]
     admissible = pyramid and base == 0
     elementary = pyramid and heap.weight()[base] == 1
-    super_letter = admissible and elementary
     primitive = is_primitive(heap)
     lyndon = is_lyndon(heap)
     super_lyndon = is_super_lyndon(heap)
     return HeapClasses(pyramid=pyramid, admissible_pyramid=admissible,
-                       elementary=elementary, super_letter=super_letter,
+                       elementary=elementary, super_letter=is_super_letter(heap),
                        primitive=primitive, lyndon=lyndon,
                        super_lyndon=super_lyndon)
-
-
-# ---------------------------------------------------------------------------
-# Standard factorization.
-
-def standard_factorization(heap: Heap) -> tuple[Heap, Heap]:
-    """(F, N) with heap = F o N and N the least Lyndon right factor.
-
-    Both are read off the standard word.  A prefix of a standard word is
-    the standard word of its own heap and the rest is the standard word of
-    the remaining pieces, so the heap factorization with minimal Lyndon
-    right factor is the word split at the smallest proper suffix.  A
-    Lyndon heap F has a single minimal piece, on the least letter of its
-    word, so st(F o F) = st(F)^2, whose least proper suffix is st(F): the
-    square of an odd Lyndon heap splits as (F, F).  The brute-force search
-    over all two-part decompositions is kept as a test oracle.
-    """
-    if len(heap) < 2:
-        raise InputError("cannot factor a heap with fewer than 2 pieces")
-    if not is_super_lyndon(heap):
-        raise InputError(f"{heap!r} is not a super Lyndon heap")
-    u, v = word_standard_factorization(standard_word(heap))
-    return heap_from_word(heap.graph, u), heap_from_word(heap.graph, v)
 
 
 # ---------------------------------------------------------------------------
@@ -549,34 +511,3 @@ def _cut_super_letters(heap: Heap, word, b: int) -> tuple[Heap, ...]:
         raise InputError(f"{heap!r} is not a product of super-letters")
     return tuple(heap_from_word(heap.graph, word[i:j])
                  for i, j in zip(cuts, cuts[1:] + [len(word)]))
-
-
-# ---------------------------------------------------------------------------
-# Independent word-level oracles, used for cross-checks (kept tiny and dumb
-# on purpose; no heap machinery involved).
-
-def word_class(graph: Supergraph, letters) -> frozenset[tuple[int, ...]]:
-    """Commutation class of a word by closure of adjacent swaps."""
-    start = tuple(graph.index(v) for v in letters)
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            if a != b and not graph.has_edge(a, b):
-                w2 = w[:i] + (b, a) + w[i + 2:]
-                if w2 not in seen:
-                    seen.add(w2)
-                    stack.append(w2)
-    return frozenset(seen)
-
-
-def lyndon_words_of_content(k: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Free-monoid Lyndon words with letter i used k_i times (rotation test)."""
-    letters = [i for i, c in enumerate(k) for _ in range(c)]
-    out = []
-    for w in set(itertools.permutations(letters)):
-        if all(w < w[r:] + w[:r] for r in range(1, len(w))):
-            out.append(w)
-    return sorted(out)

@@ -37,7 +37,7 @@ from .supergraph import Supergraph, plain, check_weight, support, ht, \
     independent_sets, weights_up_to
 # enumerate_heaps stays bound here: perfbench/selftest.py checks that tracing wraps it
 from .heaps import enumerate_heaps, _super_lyndon_counts  # noqa: F401
-from .chromatic import linear_coefficient, _log_count
+from .chromatic import _log_count
 
 
 def moebius(n: int) -> int:
@@ -59,11 +59,6 @@ def moebius(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def linear_coefficient_magnitude(graph: Supergraph, k) -> Fraction:
-    """|coefficient of q| in the k-chromatic polynomial."""
-    return abs(linear_coefficient(graph, k))
 
 
 def _magnitude(graph: Supergraph, k: tuple[int, ...]) -> int:

@@ -127,33 +127,8 @@ class Supergraph:
         return (f"Supergraph({list(self.names)}, edges={sorted(self.edges)}, "
                 f"psi={sorted(self.psi)})")
 
-    def with_order(self, order) -> "Supergraph":
-        """The same supergraph with its vertices reordered.
-
-        ``order`` lists old indices in their new order; names follow their
-        vertices, so only the total order changes.
-        """
-        order = tuple(self.index(v) for v in order)
-        if sorted(order) != list(range(self.n)):
-            raise InputError(f"not a permutation of the vertices: {order}")
-        return self._relabel(order)
-
     def is_plain(self) -> bool:
         return not (self.psi or self.real or self.psi0)
-
-    def induced(self, vertices) -> "Supergraph":
-        """Induced sub-supergraph on the given vertices, order preserved."""
-        return self._relabel(sorted(self.index(v) for v in vertices))
-
-    def _relabel(self, keep) -> "Supergraph":
-        """The sub-supergraph on the old indices ``keep``, in that order."""
-        pos = {old: new for new, old in enumerate(keep)}
-        return Supergraph(
-            tuple(self.names[o] for o in keep),
-            tuple((pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos),
-            *(tuple(pos[i] for i in vs if i in pos)
-              for vs in (self.psi, self.real, self.psi0)),
-        )
 
 
 @functools.lru_cache(maxsize=None)

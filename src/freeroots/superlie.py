@@ -27,9 +27,9 @@ from itertools import compress, count
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
 from .heaps import (Heap, _superpose, single, standard_word,
-                    enumerate_heaps, super_lyndon_heaps, is_pyramid, is_super_lyndon,
+                    enumerate_heaps, super_lyndon_heaps, is_super_letter, is_super_lyndon,
                     heaps_up_to, is_super_lyndon_word, word_standard_factorization,
-                    _heaps_with_words, _cut_super_letters, _spell)
+                    _base_least, _heaps_with_words, _cut_super_letters, _spell)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
     b = graph.index(base)
     cap = weight_cap[:b] + (1,) + weight_cap[b + 1:]
     letters = [h for hs in heaps_up_to(graph, cap).values() for h in hs
-               if is_pyramid(h) and h.pieces[0][0] == b]
+               if is_super_letter(h, b)]
     return tuple(sorted(letters, key=standard_word))
 
 
@@ -436,7 +436,7 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
     b = graph.index(base)
     if not k[b]:
         raise InputError(f"base vertex {graph.names[b]!r} is not in the support")
-    rank = [-1 if p == b else p for p in range(graph.n)]  # the base least
+    rank = _base_least(graph, b)
     odd = {rank[p] for p in graph.psi}
     columns, elements = [], []
     for heap, base_first in _heaps_with_words(graph, k, b):
@@ -469,7 +469,7 @@ def lambda_equals_e(heap: Heap) -> bool:
     """
     if not heap:
         raise InputError("empty heap")
-    if not is_pyramid(heap) or heap.weight()[heap.pieces[0][0]] != 1:
+    if not is_super_letter(heap, heap.pieces[0][0]):
         raise InputError(f"{heap!r} is not a super-letter")
     w = standard_word(heap)
     return all(w[j] >= w[j + 1] for j in range(1, len(w) - 1))

@@ -12,8 +12,7 @@ from fractions import Fraction
 from freeroots import Supergraph
 from freeroots.supergraph import is_connected_support, is_free_weight, support
 from freeroots.heaps import (heap_from_word, enumerate_heaps, standard_word,
-                             lyndon_heaps, super_lyndon_heaps,
-                             standard_factorization, decompositions, is_lyndon)
+                             lyndon_heaps, super_lyndon_heaps, is_lyndon)
 from freeroots.superlie import (lyndon_heap_basis, lln_basis, lambda_equals_e,
                                 _expand_lambda)
 from freeroots.chromatic import (RationalPoly, k_chromatic_direct,
@@ -23,6 +22,7 @@ from freeroots.multiplicity import mult_free_root, verify_pbw, \
 from freeroots.cli import run_verification_suite
 
 from conftest import TREE6_MATRIX  # noqa: F401  (documents the matrix source)
+from heap_oracles import decompositions, standard_factorization
 from conftest import fraction_binomial, fraction_product
 
 

@@ -9,8 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph
-from freeroots.chromatic import (RationalPoly, chromatic_poly_simple,
-                                 k_chromatic_direct, k_chromatic_join,
+from freeroots.chromatic import (RationalPoly, k_chromatic_direct, k_chromatic_join,
                                  k_chromatic_bond, bond_lattice,
                                  linear_coefficient, _nonempty_independent_sets,
                                  _choose, _from_binomial, _tuple_counts,
@@ -111,19 +110,30 @@ def test_from_binomial_is_the_binomial_sum(counts):
 
 
 # ---------------------------------------------------------------------------
-# Classical chromatic polynomials.
+# Classical chromatic polynomials: the k-chromatic polynomial at weight 1^n.
+
+def chromatic_poly(graph):
+    return k_chromatic_direct(graph, (1,) * graph.n)
+
 
 def test_simple_small_graphs():
-    assert chromatic_poly_simple(Supergraph(["a"])) == RationalPoly((0, 1))
-    edge = chromatic_poly_simple(Supergraph(["a", "b"], [(0, 1)]))
+    assert chromatic_poly(Supergraph(["a"])) == RationalPoly((0, 1))
+    edge = chromatic_poly(Supergraph(["a", "b"], [(0, 1)]))
     assert edge.factored() == "q(q-1)"
-    tri = chromatic_poly_simple(Supergraph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)]))
+    tri = chromatic_poly(Supergraph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)]))
     assert tri.factored() == "q(q-1)(q-2)"
+
+
+def test_simple_direct_matches_join_on_small_graphs():
+    """Every graph on at most 4 vertices, at the all-ones weight."""
+    for g in graphs_up_to_4_and_samples():
+        if g.n <= 4:
+            assert chromatic_poly(g) == k_chromatic_join(g, (1,) * g.n), g
 
 
 def test_simple_counts_colorings():
     g = Supergraph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3)])
-    poly = chromatic_poly_simple(g)
+    poly = chromatic_poly(g)
     for q in range(5):
         count = 0
         for colors in itertools.product(range(q), repeat=4):

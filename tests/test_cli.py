@@ -189,6 +189,16 @@ def test_heaps_enumerate_filters(tree6_file, capsys):
     assert doc["result"]["count"] == len(doc["result"]["heaps"]) == 3
 
 
+def test_heaps_enumerate_zero_weight_gives_the_empty_heap(path6_file, capsys):
+    argv = ["heaps", "enumerate", "--graph", path6_file, "--weight", "0,0,0,0,0,0"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["result"]["count"] == 1
+    assert doc["result"]["heaps"] == [{"word": "", "pieces": []}]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("1 heaps of weight 0,0,0,0,0,0 [heap]\n")
+
+
 def test_chromatic_methods_agree(tree6_file, capsys):
     polys = []
     for method in ("direct", "join", "bond"):

@@ -12,17 +12,17 @@ from freeroots import InputError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              single, superpose, standard_word,
                              enumerate_heaps, heaps_up_to, classify,
-                             conjugacy_class, decompositions, is_primitive,
+                             conjugacy_class, is_primitive,
                              is_lyndon, is_lyndon_word, lyndon_heaps,
                              super_lyndon_heaps, is_super_lyndon,
-                             standard_factorization, super_letter_factors,
-                             is_super_letter, is_pyramid, word_class,
-                             lyndon_words_of_content)
+                             super_letter_factors, is_super_letter, is_pyramid)
 from freeroots import heaps
 from freeroots.supergraph import plain, support, weights_up_to
 from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
-from heap_oracles import drop, greedy_word, rewriting_sign
+from heap_oracles import (drop, greedy_word, rewriting_sign, decompositions,
+                          standard_factorization, word_class,
+                          lyndon_words_of_content, relabel)
 
 THREE_VERTEX_EDGE_SETS = [(), ((0, 1),), ((0, 2),), ((1, 2),),
                           ((0, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 2)),
@@ -762,7 +762,7 @@ def test_super_letter_factors_of_alphabet_products(path6):
 
 def test_super_letter_factors_of_every_heap(path6):
     """Each heap either is refused or splits into super-letters over base 3."""
-    work = path6.with_order((2, 0, 1, 3, 4, 5))  # base 3 least
+    work = relabel(path6, (2, 0, 1, 3, 4, 5))  # base 3 least
     refused = split = 0
     for k in ((0, 0, 2, 1, 2, 1), (1, 1, 2, 1, 1, 1), (0, 1, 2, 1, 1, 0), (0, 1, 3, 1, 1, 1)):
         for h in enumerate_heaps(path6, k):
@@ -787,11 +787,10 @@ def test_super_letter_factors_rejects_non_products(p4):
 
 
 def test_super_letter_flag_matches_classify():
+    """Every graph on <= 4 vertices, entries <= 2, every base."""
     for n in range(1, 5):
         for graph in all_graphs(n):
             for k in itertools.product(range(3), repeat=n):
-                if sum(k) > 6:
-                    continue
                 for h in enumerate_heaps(graph, k):
                     flags = classify(h) if h.pieces else None
                     assert is_super_letter(h) == bool(flags and flags.super_letter), h
@@ -801,8 +800,9 @@ def test_super_letter_flag_matches_classify():
                     assert list(ps) == sorted(ps, key=lambda pl: (pl[1], pl[0])), h
                     minimal = [p for p, lvl in ps if lvl == 0]
                     assert is_pyramid(h) == (len(minimal) == 1), h
-                    assert is_super_letter(h) == (
-                        minimal == [0] and sum(p == 0 for p, _ in ps) == 1), h
+                    for b in range(n):
+                        assert is_super_letter(h, b) == (
+                            minimal == [b] and sum(p == b for p, _ in ps) == 1), (h, b)
 
 
 # ---------------------------------------------------------------------------

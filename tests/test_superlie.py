@@ -20,14 +20,14 @@ from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, exp
                                 super_letter_alphabet, lln_basis,
                                 lambda_equals_e, span_membership,
                                 integer_rank, solve_exact, signed_superpose)
-from heap_oracles import drop, greedy_word, rewriting_sign
+from heap_oracles import drop, greedy_word, relabel, rewriting_sign
 from test_golden import BASIS_WEIGHTS, ROOT
 
 
 def base_first(graph, base):
     """The graph relabelled so that ``base`` is least, the rest in order."""
     b = graph.index(base)
-    return graph.with_order([b] + [i for i in range(graph.n) if i != b])
+    return relabel(graph, [b] + [i for i in range(graph.n) if i != b])
 
 
 # ---------------------------------------------------------------------------
