@@ -64,7 +64,7 @@ def _parse(words, argv, options):
     return args
 
 
-def _dumps(doc) -> str:
+def _dumps(doc, newline="\n") -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``: the same string, faster.
 
     In CPython 3.10-3.13, ``indent`` makes the standard library encode in
@@ -73,24 +73,18 @@ def _dumps(doc) -> str:
     any other subtree (a float, a subclass of ``int`` or ``str``, a dict
     with other keys, an unknown type) is encoded by ``json.dumps`` and
     re-indented, so its bytes and its exceptions are the standard
-    library's.  A dict with ``str`` keys that appears more than once in the
-    document (a basis's heap dicts) is rendered once per indentation and
-    its text reused; dicts are told apart by ``id``, which is safe because
-    the document keeps every object in it alive for the whole call.
+    library's.  ``newline`` ends with the indentation ``doc`` starts at.
     """
     chunks = []
-    _encode(doc, "", "\n", chunks, {})
+    _encode(doc, "", newline, chunks)
     return "".join(chunks)
 
 
-def _encode(o, lead, newline, chunks, seen):
+def _encode(o, lead, newline, chunks):
     """Append ``o`` behind ``lead``, at the indentation ``newline`` ends with.
 
     ``lead`` (a separator, a dict key) goes into the same chunk as a
     scalar, so a document is about as many chunks as it has values.
-    ``seen`` maps ``(id(d), newline)`` of a dict ``d`` already rendered to
-    the range of ``chunks`` after its opening chunk, and to its text once
-    ``d`` appears again, so text that never repeats is never copied.
     """
     t = type(o)
     if t is str:
@@ -101,22 +95,13 @@ def _encode(o, lead, newline, chunks, seen):
         if not o:
             chunks.append(lead + "{}")
             return
-        memo = (id(o), newline)
-        text = seen.get(memo)
-        if text is not None:
-            if type(text) is tuple:
-                text = seen[memo] = "{" + "".join(chunks[text[0]:text[1]])
-            chunks.append(lead + text)
-            return
-        start = len(chunks)
         inner = newline + "  "
         chunks.append(lead + "{")
         sep = inner
         for key in sorted(o):
-            _encode(o[key], sep + _json_str(key) + ": ", inner, chunks, seen)
+            _encode(o[key], sep + _json_str(key) + ": ", inner, chunks)
             sep = "," + inner
         chunks.append(newline + "}")
-        seen[memo] = start + 1, len(chunks)
     elif t is list or t is tuple:
         if not o:
             chunks.append(lead + "[]")
@@ -125,7 +110,7 @@ def _encode(o, lead, newline, chunks, seen):
         chunks.append(lead + "[")
         sep = inner
         for item in o:
-            _encode(item, sep, inner, chunks, seen)
+            _encode(item, sep, inner, chunks)
             sep = "," + inner
         chunks.append(newline + "]")
     elif o is True:
@@ -138,14 +123,55 @@ def _encode(o, lead, newline, chunks, seen):
         chunks.append(lead + json.dumps(o, indent=2, sort_keys=True).replace("\n", newline))
 
 
-def _emit(args, inputs, result, human_lines, certificates=()):
+def _emit(args, inputs, result, human_lines):
     if args.json:
         doc = {"command": args.command, "inputs": inputs, "result": result,
-               "certificates": certificates}
+               "certificates": []}
         print(_dumps(doc))
     else:
         for line in human_lines:
             print(line)
+
+
+def _write_basis(command, inputs, basis, write):
+    """Write the ``--json`` document of ``basis``: ``_dumps`` of ``{command,
+    inputs, result: basis.to_json(), certificates: [its certificate]}`` and a
+    newline.
+
+    The schema fixes every key and indentation, so the text comes from the
+    basis: a header, one ``write`` per element, whose text is then dropped,
+    and a trailer.  Each heap's text is rendered once.  A certified basis
+    has no zero expansion, so no element has ``"expansion": []``.
+    """
+    cert = basis.certificate.to_json()
+    head = _dumps({"certificates": [cert], "command": command, "inputs": inputs,
+                   "result": {"certificate": cert, "dimension": len(basis)}})
+    # ``result`` is the last key and ``elements`` follows ``dimension`` in it
+    write(head[:-len("\n  }\n}")] + ',\n    "elements": [')
+    names = [_json_str(name) for name in basis.graph.names]
+    heaps, sep = {}, "\n      "
+    for e in basis.elements:
+        parts, comma = [sep, '{\n        "expansion": ['], ""
+        for h, c in e.expansion.sorted_terms():
+            tail = heaps.get(h)
+            if tail is None:  # what follows the coefficient: the heap's dict, indented
+                pieces = ",".join(f"\n                [\n                  {names[p]},"
+                                  f"\n                  {level}\n                ]"
+                                  for p, level in h.pieces)
+                tail = heaps[h] = (',\n            "heap": {\n              "pieces": ['
+                                   + pieces + "\n              ]\n            }\n          }")
+            parts += (comma, '\n          {\n            "coeff": ', int.__repr__(c), tail)
+            comma = ","
+        parts.append("\n        ]")
+        if e.letters:
+            parts.append(',\n        "letters": [' + ",".join(
+                "\n          " + _json_str(l.word()) for l in e.letters) + "\n        ]")
+        parts += (',\n        "monomial": ', _json_str(str(e.monomial)),
+                  ',\n        "word": ', _json_str(e.word()), "\n      }")
+        write("".join(parts))
+        sep = ",\n      "
+    write(("\n    ]" if basis.elements else "]") + ',\n    "weight": '
+          + _dumps(list(basis.weight), "\n    ") + "\n  }\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +232,12 @@ def _cmd_basis(args):
     else:
         basis = sl.lln_basis(graph, k, args.base)
         inputs["base"] = args.base
-    lines = [f"dimension {len(basis)} (rank {basis.certificate.rank} certified)"]
-    lines += [f"  {e.word()}  ->  {e.monomial}" for e in basis.elements]
-    _emit(args, inputs, basis.to_json(), lines, [basis.certificate.to_json()])
+    if args.json:
+        _write_basis(args.command, inputs, basis, sys.stdout.write)
+        return 0
+    print(f"dimension {len(basis)} (rank {basis.certificate.rank} certified)")
+    for e in basis.elements:
+        print(f"  {e.word()}  ->  {e.monomial}")
     return 0
 
 

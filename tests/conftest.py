@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -101,6 +102,14 @@ def fresh_caches():
     clear_caches()
     yield
     clear_caches()
+
+
+def basis_document(command, inputs, basis) -> str:
+    """The ``--json`` text of a basis command: the standard library's
+    ``json.dumps`` of the document built from ``GradedBasis.to_json()``."""
+    doc = {"certificates": [basis.certificate.to_json()], "command": command,
+           "inputs": inputs, "result": basis.to_json()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def shifted_log_count(monkeypatch, w, shift):

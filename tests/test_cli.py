@@ -1,17 +1,19 @@
 import dataclasses
 import enum
+import itertools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from freeroots import chromatic, multiplicity
-from freeroots.cli import _dumps, main
-from freeroots.supergraph import load_graph, plain
-from conftest import TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS, shifted_log_count
+from freeroots import Supergraph, chromatic, multiplicity, superlie
+from freeroots.cli import _dumps, _write_basis, main
+from freeroots.supergraph import is_free_weight, load_graph, plain, support
+from conftest import (TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS, basis_document,
+                      shifted_log_count)
 
 
 @pytest.fixture()
@@ -473,14 +475,72 @@ def test_dumps_raises_like_json_dumps(doc):
     assert str(got.value) == str(want.value)
 
 
+# ---------------------------------------------------------------------------
+# The basis writer against json.dumps of GradedBasis.to_json().
+
+_NAMES = st.sampled_from(["1", "a", "\xe91", "ab", "x.y", "\u03b1\u03b2", '"q"', "\U0001f600"])
+
+
+@st.composite
+def _supergraphs_with_free_weights(draw):
+    """A supergraph on at most 4 vertices with random odd and real vertices
+    and names, some non-ASCII or longer than one character, and a free
+    weight with entries at most 2 and height at most 6."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(_NAMES, min_size=n, max_size=n, unique=True))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    psi = {v for v in range(n) if draw(st.booleans())}
+    real = {v for v in range(n) if v not in psi and draw(st.booleans())}
+    graph = Supergraph(names, edges, psi=psi, real=real)
+    k = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+             .filter(lambda k: 0 < sum(k) <= 6 and is_free_weight(graph, k)))
+    return graph, tuple(k), draw(_TEXT)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_supergraphs_with_free_weights())
+@example((Supergraph(["\xe91", "b"], [(0, 1)]), (0, 2), "g"))  # dimension 0: "elements": []
+def test_basis_writer_matches_json_dumps(case):
+    graph, k, path = case
+    inputs = {"graph": path, "weight": list(k)}
+    bases = [("basis lyndon", inputs, superlie.lyndon_heap_basis(graph, k))]
+    for b in support(k):
+        name = graph.names[b]
+        bases.append(("basis lln", {**inputs, "base": name}, superlie.lln_basis(graph, k, name)))
+    for command, args, basis in bases:
+        chunks = []
+        _write_basis(command, args, basis, chunks.append)
+        assert "".join(chunks) == basis_document(command, args, basis)
+
+
+def test_basis_writer_writes_once_per_element(path6):
+    basis = superlie.lln_basis(path6, (0, 0, 2, 1, 2, 1), "3")
+    inputs = {"graph": "g", "weight": [0, 0, 2, 1, 2, 1], "base": "3"}
+    chunks = []
+    _write_basis("basis lln", inputs, basis, chunks.append)
+    assert len(basis) == 2 and len(chunks) <= len(basis) + 2
+    assert "".join(chunks) == basis_document("basis lln", inputs, basis)
+
+
+def test_basis_writes_nothing_before_the_certificate(tree6_file, capsys, monkeypatch):
+    monkeypatch.setattr(superlie, "integer_rank", lambda rows: (len(rows) - 1, []))
+    code = main(["basis", "lyndon", "--graph", tree6_file, "--weight", "0,0,3,0,0,3", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("internal consistency failure: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "sample_graphs/path6.json"],
     ["heaps", "enumerate", "--graph", "sample_graphs/path6.json",
      "--weight", "1,2,2,1,1,0", "--json"],
+    ["basis", "lln", "--graph", "sample_graphs/path6.json", "--weight", "0,0,2,1,2,1",
+     "--base", "3", "--json"],
 ])
 def test_closed_output_pipe_exits_quietly(argv):
     # Buffered stdout: the short output fails at the final flush, the long
-    # one (50 kB) inside print.
+    # one (50 kB) inside print, the basis document (14 kB) in the middle of
+    # its writes.
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

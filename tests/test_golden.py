@@ -18,7 +18,11 @@ import sys
 
 import pytest
 
-from freeroots.cli import main
+from freeroots import lln_basis, lyndon_heap_basis
+from freeroots.cli import _write_basis, main
+from freeroots.errors import InputError
+from freeroots.supergraph import load_graph, parse_weight
+from conftest import basis_document
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(ROOT, "tests", "golden", "cli.json")
@@ -109,6 +113,33 @@ def golden():
 def test_cli_output_matches_golden(argv, golden, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert _run(argv) == golden[tuple(argv)]
+
+
+BASIS_JSON_CASES = [argv for argv in CASES if argv[:1] == ["basis"] and "--json" in argv]
+
+
+@pytest.mark.parametrize("argv", BASIS_JSON_CASES, ids=" ".join)
+def test_basis_writer_matches_json_dumps_on_golden_records(argv, golden, monkeypatch):
+    """The streamed document of each recorded basis request against
+    ``json.dumps`` of the library's ``to_json()`` and the recorded stdout."""
+    monkeypatch.chdir(ROOT)
+    record = golden[tuple(argv)]
+    opts = dict(zip(argv[2:-1:2], argv[3:-1:2]))
+    graph, _ = load_graph(opts["--graph"])
+    k = parse_weight(graph, opts["--weight"])
+    inputs = {"graph": opts["--graph"], "weight": list(k)}
+    try:
+        if argv[1] == "lyndon":
+            basis = lyndon_heap_basis(graph, k)
+        else:
+            basis = lln_basis(graph, k, opts["--base"])
+            inputs["base"] = opts["--base"]
+    except InputError:  # a base outside the support: nothing is written
+        assert (record["exit"], record["stdout"]) == (1, "")
+        return
+    chunks = []
+    _write_basis(" ".join(argv[:2]), inputs, basis, chunks.append)
+    assert "".join(chunks) == basis_document(" ".join(argv[:2]), inputs, basis) == record["stdout"]
 
 
 if __name__ == "__main__":
