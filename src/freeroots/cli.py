@@ -64,90 +64,36 @@ def _parse(words, argv, options):
     return args
 
 
-def _dumps(doc, newline="\n") -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``: the same string, faster.
-
-    In CPython 3.10-3.13, ``indent`` makes the standard library encode in
-    pure Python through generators.  This walks dicts with ``str`` keys,
-    lists, tuples, exact ``str`` and ``int``, booleans and ``None`` itself;
-    any other subtree (a float, a subclass of ``int`` or ``str``, a dict
-    with other keys, an unknown type) is encoded by ``json.dumps`` and
-    re-indented, so its bytes and its exceptions are the standard
-    library's.  ``newline`` ends with the indentation ``doc`` starts at.
-    """
-    chunks = []
-    _encode(doc, "", newline, chunks)
-    return "".join(chunks)
-
-
-def _encode(o, lead, newline, chunks):
-    """Append ``o`` behind ``lead``, at the indentation ``newline`` ends with.
-
-    ``lead`` (a separator, a dict key) goes into the same chunk as a
-    scalar, so a document is about as many chunks as it has values.
-    """
-    t = type(o)
-    if t is str:
-        chunks.append(lead + _json_str(o))
-    elif t is int:
-        chunks.append(lead + int.__repr__(o))
-    elif t is dict and all(type(key) is str for key in o):
-        if not o:
-            chunks.append(lead + "{}")
-            return
-        inner = newline + "  "
-        chunks.append(lead + "{")
-        sep = inner
-        for key in sorted(o):
-            _encode(o[key], sep + _json_str(key) + ": ", inner, chunks)
-            sep = "," + inner
-        chunks.append(newline + "}")
-    elif t is list or t is tuple:
-        if not o:
-            chunks.append(lead + "[]")
-            return
-        inner = newline + "  "
-        chunks.append(lead + "[")
-        sep = inner
-        for item in o:
-            _encode(item, sep, inner, chunks)
-            sep = "," + inner
-        chunks.append(newline + "]")
-    elif o is True:
-        chunks.append(lead + "true")
-    elif o is False:
-        chunks.append(lead + "false")
-    elif o is None:
-        chunks.append(lead + "null")
-    else:
-        chunks.append(lead + json.dumps(o, indent=2, sort_keys=True).replace("\n", newline))
-
-
 def _emit(args, inputs, result, human_lines):
     if args.json:
         doc = {"command": args.command, "inputs": inputs, "result": result,
                "certificates": []}
-        print(_dumps(doc))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
 
 
 def _write_basis(command, inputs, basis, write):
-    """Write the ``--json`` document of ``basis``: ``_dumps`` of ``{command,
-    inputs, result: basis.to_json(), certificates: [its certificate]}`` and a
-    newline.
+    """Write the ``--json`` document of ``basis``: ``json.dumps(doc,
+    indent=2, sort_keys=True)`` of ``{command, inputs, result:
+    basis.to_json(), certificates: [its certificate]}`` and a newline.
 
-    The schema fixes every key and indentation, so the text comes from the
-    basis: a header, one ``write`` per element, whose text is then dropped,
-    and a trailer.  Each heap's text is rendered once.  A certified basis
-    has no zero expansion, so no element has ``"expansion": []``.
+    The header and trailer are the standard library's text of that
+    document with ``"elements": []``, split there; the elements come from
+    the basis, one ``write`` per element, whose text is then dropped.
+    Each heap's text is rendered once.  A certified basis has no zero
+    expansion, so no element has ``"expansion": []``.
     """
     cert = basis.certificate.to_json()
-    head = _dumps({"certificates": [cert], "command": command, "inputs": inputs,
-                   "result": {"certificate": cert, "dimension": len(basis)}})
-    # ``result`` is the last key and ``elements`` follows ``dimension`` in it
-    write(head[:-len("\n  }\n}")] + ',\n    "elements": [')
+    empty = json.dumps({"certificates": [cert], "command": command, "inputs": inputs,
+                        "result": {"certificate": cert, "dimension": len(basis),
+                                   "elements": [], "weight": list(basis.weight)}},
+                       indent=2, sort_keys=True)
+    # No encoded string holds this text (``"`` is escaped in one), and only
+    # ``weight``'s integers follow the key, so the last match is the key.
+    head, _, trailer = empty.rpartition('"elements": []')
+    write(head + '"elements": [')
     names = [_json_str(name) for name in basis.graph.names]
     heaps, sep = {}, "\n      "
     for e in basis.elements:
@@ -170,8 +116,7 @@ def _write_basis(command, inputs, basis, write):
                   ',\n        "word": ', _json_str(e.word()), "\n      }")
         write("".join(parts))
         sep = ",\n      "
-    write(("\n    ]" if basis.elements else "]") + ',\n    "weight": '
-          + _dumps(list(basis.weight), "\n    ") + "\n  }\n}\n")
+    write(("\n    ]" if basis.elements else "]") + trailer + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
+from operator import attrgetter
 
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
@@ -30,6 +31,10 @@ from .heaps import (Heap, _superpose, single, standard_word,
                     enumerate_heaps, super_lyndon_heaps, is_super_letter, is_super_lyndon,
                     heaps_up_to, is_super_lyndon_word, word_standard_factorization,
                     _base_least, _heaps_with_words, _cut_super_letters, _spell)
+
+
+# A heap's standard word, read without a call: the heap order's sort key.
+_WORD = attrgetter("_word")
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +160,21 @@ class HeapPolynomial:
         return parities.pop()
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda hc: standard_word(hc[0]))
+        terms = self.terms
+        return [(h, terms[h]) for h in sorted(terms, key=_WORD)]
 
     def leading(self):
         """(least heap, coefficient) in the heap order."""
         if not self.terms:
             return None
-        h = min(self.terms, key=standard_word)
+        h = min(self.terms, key=_WORD)
         return h, self.terms[h]
 
     def coefficient(self, heap: Heap) -> int:
         return self.terms.get(heap, 0)
 
     def to_json(self):
-        return self._to_json({})
-
-    def _to_json(self, heap_docs: dict):
-        """The terms, each heap's dict taken from ``heap_docs`` or added to it."""
-        out = []
-        for h, c in self.sorted_terms():
-            doc = heap_docs.get(h)
-            if doc is None:
-                doc = heap_docs[h] = h.to_json()
-            out.append({"coeff": c, "heap": doc})
-        return out
+        return [{"coeff": c, "heap": h.to_json()} for h, c in self.sorted_terms()]
 
     def __repr__(self):
         if not self.terms:
@@ -376,9 +372,7 @@ class GradedBasis:
         return [str(e.monomial) for e in self.elements]
 
     def to_json(self):
-        """The basis as a JSON document.  Expansion terms of one heap share
-        one heap dict, so copy a dict before mutating it."""
-        heap_docs = {}
+        """The basis as a JSON document."""
         return {
             "weight": list(self.weight),
             "dimension": len(self.elements),
@@ -386,7 +380,7 @@ class GradedBasis:
                 "word": e.word(),
                 "monomial": str(e.monomial),
                 **({"letters": [l.word() for l in e.letters]} if e.letters else {}),
-                "expansion": e.expansion._to_json(heap_docs),
+                "expansion": e.expansion.to_json(),
             } for e in self.elements],
             "certificate": self.certificate.to_json(),
         }

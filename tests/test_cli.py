@@ -1,5 +1,4 @@
 import dataclasses
-import enum
 import itertools
 import json
 import os
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freeroots import Supergraph, chromatic, multiplicity, superlie
-from freeroots.cli import _dumps, _write_basis, main
+from freeroots.cli import _write_basis, main
 from freeroots.supergraph import is_free_weight, load_graph, plain, support
 from conftest import (TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS, basis_document,
                       shifted_log_count)
@@ -383,101 +382,15 @@ def test_json_round_trip(tree6_file, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The JSON emitter against the standard library, and a closed output pipe.
+# The basis writer against json.dumps of GradedBasis.to_json(), and a closed
+# output pipe.
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-
-
-def stock(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
-
 
 _ODD_CHARS = st.sampled_from(['"', "\\", "/", "\x00", "\n", "\t", "\x1f", "\x7f",
                               "\x80", "\xe9", "\u2028", "\ufeff", "\ud800",
                               "\udfff", "\U0001f600"])
 _TEXT = st.text(st.characters(exclude_categories=()) | _ODD_CHARS, max_size=8)
-_SCALARS = (st.none() | st.booleans() | st.integers()
-            | st.integers(min_value=-10 ** 40, max_value=-2 ** 63) | _TEXT)
-_TREES = st.recursive(
-    _SCALARS,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(_TEXT, children, max_size=4)),
-    max_leaves=24)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(_TREES)
-def test_dumps_matches_json_dumps(doc):
-    nested = {"result": doc, "inputs": [doc, {}]}
-    assert _dumps(doc) == stock(doc)
-    assert _dumps(nested) == stock(nested)
-
-
-@st.composite
-def _shared_documents(draw):
-    """A document in which the same dicts and lists sit at several positions.
-
-    The pool holds drawn dicts and lists, a dict with ``int`` keys (encoded
-    by the ``json.dumps`` fallback) and an empty dict; the tree picks pool
-    objects themselves, not copies, at any depth, and the document repeats
-    the tree as siblings and one level deeper.
-    """
-    pool = draw(st.lists(st.dictionaries(_TEXT, _TREES, max_size=3)
-                         | st.lists(_TREES, max_size=3)
-                         | st.dictionaries(st.integers(), _TREES, min_size=1, max_size=2),
-                         min_size=1, max_size=3))
-    pool.append({})
-    tree = draw(st.recursive(
-        st.sampled_from(pool),
-        lambda children: (st.lists(children, max_size=4)
-                          | st.dictionaries(_TEXT, children, max_size=4)),
-        max_leaves=12))
-    return {"siblings": [tree, tree], "deeper": {"tree": [tree]}, "pool": pool}
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(_shared_documents())
-def test_dumps_matches_json_dumps_on_shared_objects(doc):
-    assert _dumps(doc) == stock(doc)
-
-
-class _Colour(enum.IntEnum):
-    RED = 1
-
-
-class _Name(str):
-    pass
-
-
-@pytest.mark.parametrize("doc", [
-    {"a": [[], {}, [[]], [{}], {"b": []}, ()]},
-    {"x": 1.5, "y": [0.1, -2e300, float("inf"), float("nan")], "z": {"w": [[1e-7]]}},
-    {"colour": _Colour.RED, "colours": [_Colour.RED, {"c": _Colour.RED}]},
-    {"name": _Name("n\u00e9"), "names": [_Name("m")]},
-    {"by_int": {10: "ten", 2: "two", -1: [None]}, "nested": [{True: 1, False: 2}]},
-    {"by_float": [{1.5: "x", 0.25: {"y": [1]}}]},
-])
-def test_dumps_falls_back_like_json_dumps(doc):
-    assert _dumps(doc) == stock(doc)
-
-
-@pytest.mark.parametrize("doc", [
-    {"a": [{1: "x", "b": "y"}]},
-    {"a": {(1, 2): "tuple key"}},
-    {"a": [1, {"s": {3, 4}}]},
-])
-def test_dumps_raises_like_json_dumps(doc):
-    with pytest.raises(TypeError) as want:
-        stock(doc)
-    with pytest.raises(TypeError) as got:
-        _dumps(doc)
-    assert str(got.value) == str(want.value)
-
-
-# ---------------------------------------------------------------------------
-# The basis writer against json.dumps of GradedBasis.to_json().
-
 _NAMES = st.sampled_from(["1", "a", "\xe91", "ab", "x.y", "\u03b1\u03b2", '"q"', "\U0001f600"])
 
 
@@ -500,6 +413,10 @@ def _supergraphs_with_free_weights(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(_supergraphs_with_free_weights())
 @example((Supergraph(["\xe91", "b"], [(0, 1)]), (0, 2), "g"))  # dimension 0: "elements": []
+@example((Supergraph(["\u03b1\u03b2", "b"], [(0, 1)]), (2, 0), "\u03b1"))  # empty, base αβ
+# the writer's split text and a backslash in the path and in the names
+@example((Supergraph(['"elements": []', "\\"], [(0, 1)], psi={0}), (2, 2),
+          '"elements": [] \\ "elements": []\\'))
 def test_basis_writer_matches_json_dumps(case):
     graph, k, path = case
     inputs = {"graph": path, "weight": list(k)}

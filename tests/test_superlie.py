@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import random
@@ -515,20 +516,26 @@ def test_lln_and_lyndon_bases_span_each_other(path, weight):
 
 
 @pytest.mark.parametrize("base", [None, "3"])
-def test_basis_json_holds_one_dict_per_heap(path6, base):
-    """Terms of one heap share one dict, so the emitter renders it once."""
+def test_basis_json_gives_each_term_its_own_dict(path6, base):
+    """Mutating one term's heap dict leaves the other terms of that heap,
+    and a second ``to_json()``, unchanged."""
     k = (0, 0, 2, 1, 2, 1)
     basis = lyndon_heap_basis(path6, k) if base is None else lln_basis(path6, k, base)
-    elements = basis.to_json()["elements"]
-    terms = [t for e in elements for t in e["expansion"]]
+    doc = basis.to_json()
+    heap_docs = [t["heap"] for e in doc["elements"] for t in e["expansion"]]
     heaps_of_terms = {h for e in basis.elements for h in e.expansion.terms}
-    assert (len(terms), len(heaps_of_terms)) == (22, 18)
-    assert len({id(t["heap"]) for t in terms}) == len(heaps_of_terms)
-    for doc, e in zip(elements, basis.elements):
-        assert doc["expansion"] == e.expansion.to_json()
+    assert (len(heap_docs), len(heaps_of_terms)) == (22, 18)
+    for e_doc, e in zip(doc["elements"], basis.elements):
+        assert e_doc["expansion"] == e.expansion.to_json()
+    before = copy.deepcopy(heap_docs)
+    shared = next(i for i, h in enumerate(heap_docs) if h in heap_docs[i + 1:])
+    heap_docs[shared]["pieces"].append(["mutated", 0])
+    assert [i for i, (h, b) in enumerate(zip(heap_docs, before)) if h != b] == [shared]
+    again = basis.to_json()
+    assert [t["heap"] for e in again["elements"] for t in e["expansion"]] == before
     poly = basis.elements[0].expansion
-    first, again = poly.to_json(), poly.to_json()
-    assert first == again and first[0]["heap"] is not again[0]["heap"]
+    poly.to_json()[0]["heap"]["pieces"].clear()
+    assert poly.to_json() == again["elements"][0]["expansion"]
 
 
 def test_lln_basis_interns_only_over_the_callers_graph(path6):
