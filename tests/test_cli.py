@@ -372,6 +372,29 @@ def test_output_deterministic(tree6_file, capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{g}"],
+    ["heaps", "enumerate", "--graph", "{g}", "--weight", "1,1,1,0,0,1"],
+    ["basis", "lyndon", "--graph", "{g}", "--weight", "0,0,3,0,0,3"],
+    ["basis", "lln", "--graph", "{g}", "--weight", "0,1,2,0,0,1", "--base", "3"],
+    ["mult", "--graph", "{g}", "--weight", "0,0,3,0,0,3"],
+    ["mult", "table", "--graph", "{g}", "--cap", "0,1,2,0,0,1"],
+    ["chromatic", "--graph", "{g}", "--weight", "2,1,0,1,2,0"],
+    ["verify", "pbw", "--graph", "{g}", "--cap", "0,1,2,0,0,1"],
+    ["verify", "cartier-foata", "--graph", "{g}", "--cap", "0,1,2,0,0,1"],
+    ["verify", "triangular", "--graph", "{g}", "--weight", "0,1,2,0,0,1"],
+    ["verify", "all", "--graph", "{g}", "--cap", "0,1,1,0,0,1"],
+])
+def test_json_output_is_json_dumps_of_its_parse(tree6_file, capsys, argv):
+    # Every command's --json bytes are json.dumps(doc, indent=2,
+    # sort_keys=True) and a newline; basis commands write theirs by hand.
+    assert main([a.format(g=tree6_file) for a in argv] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["command"] == " ".join(itertools.takewhile(lambda a: a[0] not in "-{", argv))
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_json_round_trip(tree6_file, capsys):
     code, doc = run_json(capsys, ["chromatic", "--graph", tree6_file,
                                   "--weight", "0,0,1,0,0,1"])

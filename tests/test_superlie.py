@@ -516,7 +516,7 @@ def test_lln_and_lyndon_bases_span_each_other(path, weight):
 
 
 @pytest.mark.parametrize("base", [None, "3"])
-def test_basis_json_gives_each_term_its_own_dict(path6, base):
+def test_basis_json_holds_one_dict_per_heap(path6, base):
     """Mutating one term's heap dict leaves the other terms of that heap,
     and a second ``to_json()``, unchanged."""
     k = (0, 0, 2, 1, 2, 1)
