@@ -14,7 +14,7 @@ from .supergraph import (Supergraph, BkmSupermatrix, validate_supermatrix,
                          graph_from_document, load_graph, parse_weight,
                          ht, support, weight_parity)
 from .heaps import (Heap, heap_from_word, heap_from_pieces, superpose,
-                    standard_word, enumerate_heaps, heaps_up_to,
+                    standard_word, enumerate_heaps,
                     classify, lyndon_heaps, super_lyndon_heaps,
                     conjugacy_class)
 from .superlie import (LieMonomial, leaf, bracket, left_normed,

@@ -12,21 +12,22 @@ the order that makes a base least.
 
 The total order on heaps compares standard words (the lexicographically
 greatest linearization, shorter words preceding their extensions), and the
-standard word decides all of the Lyndon structure with word tests alone:
-a heap is Lyndon exactly when its standard word is a Lyndon word (Lalonde);
+standard word decides all of the Lyndon structure with word tests alone: a
+heap is Lyndon exactly when its standard word is a Lyndon word (Lalonde);
 it is super Lyndon exactly when the word is Lyndon or the square of an odd
 Lyndon word; its standard factorization is the word's split; and its
-super-letter factors are the pieces of its word in the order that makes
-the base least, cut before each base letter.  Decompositions, the
-factorization by the least Lyndon right factor, the squares of odd Lyndon
-heaps and the search for square roots live in the test suite, as the
-definitions the word rules are checked against.  Enumeration is a
-depth-first search over standard words: each heap once, ascending.  It is
-the one source of heap lists, cached per plain graph and weight: the
-(super) Lyndon heaps of a weight are that list filtered by the word test,
-the lln basis sorts it by the words in the order that makes its base
-least, and one walk over a cap counts heaps and super Lyndon heaps per
-weight with the same test.
+super-letter factors are the pieces of its word in the order that makes the
+base least, cut before each base letter.  Decompositions, the factorization
+by the least Lyndon right factor, the squares of odd Lyndon heaps and the
+search for square roots live in the test suite, as the definitions the word
+rules are checked against.  Enumeration is one depth-first walk over
+standard words, each heap once, ascending, cached per plain graph and
+weight: the (super) Lyndon heaps of a weight are its list filtered by the
+word test, the lln basis sorts the list by the words in the order that
+makes its base least, and one walk over a cap counts heaps and super Lyndon
+heaps per weight with the same test.  Walked in that base-least order, the
+words that start with the base and use it once are the super-letters on it
+(their only minimal piece): prefix-closed, they are the base's subtree.
 
 A heap lives on the adjacency; psi only gives its letters a parity.  Every
 heap is interned in one pool per graph, and a heap over a graph with psi,
@@ -42,7 +43,7 @@ import operator
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, weight_gcd, divide_weight, \
-    is_connected_support, weights_up_to
+    is_connected_support
 
 
 class Heap:
@@ -218,8 +219,8 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
 
 
 def _base_least(graph: Supergraph, base: int) -> list[int]:
-    """The rank of each position in the order that makes position ``base`` least."""
-    return [-1 if p == base else p for p in range(graph.n)]
+    """The rank of each position in the order that makes ``base`` least: a permutation."""
+    return [0 if p == base else p + (p < base) for p in range(graph.n)]
 
 
 def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
@@ -231,16 +232,17 @@ def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
-def _standard_words(graph: Supergraph, cap):
+def _standard_words(zeta, cap):
     """Walk, ascending, the words of content <= cap greatest in their class.
 
-    Those are the words with no letter that commutes left past a smaller
-    one; they are prefix-closed, so only the last letter is checked.  Each
-    node yields the word (one list, reused) and the index of its content
-    in ``weights_up_to(cap)``.
+    Letters ``0..n-1`` compare as integers; ``zeta[a]`` masks those that do
+    not commute with a, a included: a graph's ``zeta``, or one relabelled.
+    No letter of such a word commutes left past a smaller one, so they are
+    prefix-closed and only the last letter is checked.  Each node yields the
+    word (one list, reused) and the index of its content in ``weights_up_to(cap)``.
     """
-    zeta, order = graph.zeta, range(graph.n)
-    stride = [math.prod(c + 1 for c in cap[i + 1:]) for i in range(graph.n)]
+    order = range(len(zeta))
+    stride = [math.prod(c + 1 for c in cap[i + 1:]) for i in order]
     word, stack = [], [(iter(order), 0)]
     yield word, 0
     while stack:
@@ -264,7 +266,7 @@ def _standard_words(graph: Supergraph, cap):
 @functools.lru_cache(maxsize=None)
 def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
     m = sum(k)
-    return tuple(_intern(graph, tuple(word)) for word, _ in _standard_words(graph, k)
+    return tuple(_intern(graph, tuple(word)) for word, _ in _standard_words(graph.zeta, k)
                  if len(word) == m)
 
 
@@ -280,14 +282,6 @@ def _heaps_with_words(graph: Supergraph, k, base: int) -> list[tuple[Heap, tuple
     rank = _base_least(graph, base)
     found = [(heap, _base_first_word(heap, base)) for heap in enumerate_heaps(graph, k)]
     return sorted(found, key=lambda pair: [rank[p] for p in pair[1]])
-
-
-def heaps_up_to(graph: Supergraph, cap) -> dict[tuple[int, ...], tuple[Heap, ...]]:
-    """:func:`enumerate_heaps` of every weight componentwise <= cap, keyed by
-    weight.  Each weight keeps its heap list in the enumeration cache, which
-    :func:`freeroots.clear_caches` empties."""
-    cap = check_weight(graph, cap)
-    return {w: enumerate_heaps(graph, w) for w in weights_up_to(cap)}
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def _super_lyndon_counts(graph: Supergraph, cap: tuple[int, ...]):
     """
     heaps = [0] * math.prod(c + 1 for c in cap)
     super_lyndon = heaps.copy()
-    for word, code in _standard_words(graph, cap):
+    for word, code in _standard_words(graph.zeta, cap):
         heaps[code] += 1
         super_lyndon[code] += is_super_lyndon_word(word, graph.psi)
     return tuple(heaps), tuple(super_lyndon)

@@ -22,14 +22,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, islice, takewhile
 from operator import attrgetter
 
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, check_weight
-from .heaps import (Heap, _superpose, single, standard_word,
+from .heaps import (Heap, _superpose, single, standard_word, heap_from_word,
                     enumerate_heaps, super_lyndon_heaps, is_super_letter, is_super_lyndon,
-                    heaps_up_to, is_super_lyndon_word, word_standard_factorization,
+                    is_super_lyndon_word, word_standard_factorization, _standard_words,
                     _base_least, _heaps_with_words, _cut_super_letters, _spell)
 
 
@@ -403,13 +403,19 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
     """All super-letters with the given base, weight <= cap, ascending.
 
     They are heaps over ``graph``: pyramids on ``base`` that use it once,
-    whatever the cap says there.
+    whatever the cap says there.  In the order that ranks the base least,
+    those are the heaps whose standard word starts with the base (then the
+    only minimal piece) and has no other base letter: prefix-closed words,
+    the subtree of the word of the base, which the walk visits first.
     """
     weight_cap = check_weight(graph, weight_cap)
     b = graph.index(base)
-    cap = weight_cap[:b] + (1,) + weight_cap[b + 1:]
-    letters = [h for hs in heaps_up_to(graph, cap).values() for h in hs
-               if is_super_letter(h, b)]
+    rank = _base_least(graph, b)
+    position = [b] + [p for p in range(graph.n) if p != b]  # of each rank
+    zeta = tuple(sum(1 << rank[q] for q in graph.zeta_neighbors[p]) for p in position)
+    walk = _standard_words(zeta, tuple(1 if p == b else weight_cap[p] for p in position))
+    subtree = takewhile(lambda node: node[0][0] == 0, islice(walk, 1, None))  # past the empty word
+    letters = [heap_from_word(graph, [position[r] for r in word]) for word, _ in subtree]
     return tuple(sorted(letters, key=standard_word))
 
 

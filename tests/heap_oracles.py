@@ -11,14 +11,19 @@ The library decides Lyndon heaps and their factorizations from standard
 words alone.  The rest are the definitions those word tests replace:
 the two-part decompositions of a heap, the factorization with the least
 Lyndon right factor, commutation classes by adjacent swaps and Lyndon
-words by rotation.  ``relabel`` reorders or restricts a graph's vertices.
+words by rotation.  ``heaps_up_to`` lists the heaps of every weight under a
+cap, one enumeration per weight, and ``filtered_super_letters`` keeps the
+pyramids on a base among them: the definition the super-letter walk is
+checked against.  ``relabel`` reorders or restricts a graph's vertices.
 """
 
 import itertools
 
 from freeroots import InputError, Supergraph
-from freeroots.heaps import (heap_from_pieces, heap_from_word, is_super_lyndon,
-                             standard_word, word_standard_factorization)
+from freeroots.heaps import (enumerate_heaps, heap_from_pieces, heap_from_word,
+                             is_super_letter, is_super_lyndon, standard_word,
+                             word_standard_factorization)
+from freeroots.supergraph import check_weight, weights_up_to
 
 
 def drop_order(piece):
@@ -127,6 +132,24 @@ def standard_factorization(heap):
         raise InputError(f"{heap!r} is not a super Lyndon heap")
     u, v = word_standard_factorization(standard_word(heap))
     return heap_from_word(heap.graph, u), heap_from_word(heap.graph, v)
+
+
+def heaps_up_to(graph, cap):
+    """``enumerate_heaps`` of every weight componentwise <= cap, keyed by
+    weight in the order of ``weights_up_to(cap)``."""
+    cap = check_weight(graph, cap)
+    return {w: enumerate_heaps(graph, w) for w in weights_up_to(cap)}
+
+
+def filtered_super_letters(graph, base, cap):
+    """The super-letters on ``base`` of weight <= cap, ascending: every heap
+    under the cap, with 1 at the base, kept when it is a pyramid on the base
+    that uses it once."""
+    b = graph.index(base)
+    cap = tuple(1 if p == b else c for p, c in enumerate(cap))
+    letters = [h for hs in heaps_up_to(graph, cap).values() for h in hs
+               if is_super_letter(h, b)]
+    return tuple(sorted(letters, key=standard_word))
 
 
 def word_class(graph, letters):

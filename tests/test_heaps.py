@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from freeroots import InputError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              single, superpose, standard_word,
-                             enumerate_heaps, heaps_up_to, classify,
+                             enumerate_heaps, classify,
                              conjugacy_class, is_primitive,
                              is_lyndon, is_lyndon_word, lyndon_heaps,
                              super_lyndon_heaps, is_super_lyndon,
@@ -22,7 +22,8 @@ from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
                                 lln_basis)
 from heap_oracles import (drop, greedy_word, rewriting_sign, decompositions,
                           standard_factorization, word_class,
-                          lyndon_words_of_content, relabel)
+                          lyndon_words_of_content, relabel, heaps_up_to,
+                          filtered_super_letters)
 
 THREE_VERTEX_EDGE_SETS = [(), ((0, 1),), ((0, 2),), ((1, 2),),
                           ((0, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 2), (1, 2)),
@@ -803,6 +804,18 @@ def test_super_letter_flag_matches_classify():
                     for b in range(n):
                         assert is_super_letter(h, b) == (
                             minimal == [b] and sum(p == b for p, _ in ps) == 1), (h, b)
+
+
+def test_super_letter_walk_matches_the_filter():
+    """Every graph on <= 4 vertices and every base, under the all-2 cap and
+    that cap with each other entry set to 0 in turn."""
+    for n in range(1, 5):
+        for graph in all_graphs(n):
+            for b in range(n):
+                for zero in [None] + [p for p in range(n) if p != b]:
+                    cap = tuple(0 if p == zero else 2 for p in range(n))
+                    assert super_letter_alphabet(graph, b, cap) == \
+                        filtered_super_letters(graph, b, cap), (graph, b, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from freeroots import InputError, ConsistencyError, Supergraph, clear_caches
 from freeroots.heaps import (heap_from_word, heap_from_pieces, single, superpose,
                              standard_word, enumerate_heaps,
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
-                             classify, heaps_up_to, is_pyramid)
+                             classify, is_pyramid)
 from freeroots import heaps
 from freeroots.supergraph import (is_connected_support, support, weights_up_to,
                                   load_graph, plain)
@@ -21,7 +21,7 @@ from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, exp
                                 super_letter_alphabet, lln_basis,
                                 lambda_equals_e, span_membership,
                                 integer_rank, solve_exact, signed_superpose)
-from heap_oracles import drop, greedy_word, relabel, rewriting_sign
+from heap_oracles import drop, greedy_word, heaps_up_to, relabel, rewriting_sign
 from test_golden import BASIS_WEIGHTS, ROOT
 
 
