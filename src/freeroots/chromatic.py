@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, ht, \
-    weight_parity, independent_sets, join_graph, is_connected_support, \
+    weight_parity, independent_sets, join_graph, _is_connected, \
     is_free_weight, weights_up_to
 
 
@@ -281,7 +281,7 @@ def k_chromatic_join(graph: Supergraph, k) -> RationalPoly:
 # Bond lattice.
 
 def _connected_subweights(graph: Supergraph, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    out = [w for w in weights_up_to(k) if any(w) and is_connected_support(graph, w)]
+    out = [w for w in weights_up_to(k) if _is_connected(graph, w)]
     return tuple(sorted(out, reverse=True))
 
 

@@ -29,10 +29,10 @@ heaps per weight with the same test.  Walked in that base-least order, the
 words that start with the base and use it once are the super-letters on it
 (their only minimal piece): prefix-closed, they are the base's subtree.
 
-A heap lives on the adjacency; psi only gives its letters a parity.  Every
-heap is interned in one pool per graph, and a heap over a graph with psi,
-real or psi0 vertices shares the heap of its plain twin, where standard
-words, enumeration and Lyndon structure are computed once for every psi.
+A heap lives on the adjacency; psi only gives its letters a parity.  The
+walk's words and each product's word and crossings are cached per plain
+twin, for every psi; heaps are interned, one pool per graph, only over the
+graph a caller asked for.
 """
 
 from __future__ import annotations
@@ -53,17 +53,16 @@ class Heap:
     is the same object (graphs are canonical) and their standard words are
     equal, so a heap kept across :func:`freeroots.clear_caches` equals the
     one built after it.  ``pieces`` is in drop order, sorted by ``(level,
-    position)``: the minimal pieces, those on level 0, come first.  ``_shared`` is
-    the heap over the plain twin: the heap itself over a plain graph.  Use
+    position)``: the minimal pieces, those on level 0, come first, and
+    are computed from the word once, when first read.  Use
     :func:`heap_from_word` or :func:`heap_from_pieces` to construct.
     """
 
-    __slots__ = ("graph", "_word", "_shared", "_hash", "_pieces")
+    __slots__ = ("graph", "_word", "_hash", "_pieces")
 
-    def __init__(self, graph: Supergraph, word: tuple, shared=None):
+    def __init__(self, graph: Supergraph, word: tuple):
         self.graph = graph
         self._word = word
-        self._shared = self if shared is None else shared  # empty heaps are falsy
         self._hash = hash((graph, word))
         self._pieces = None
 
@@ -83,14 +82,13 @@ class Heap:
     @property
     def pieces(self) -> tuple[tuple[int, int], ...]:
         """Each letter one level above the last it does not commute with."""
-        shared = self._shared
-        if shared._pieces is None:  # computed once, for every psi
+        if self._pieces is None:
             tops, zn, pieces = [-1] * self.graph.n, self.graph.zeta_neighbors, []
             for p in self._word:  # zn[p] holds p itself
                 tops[p] = max(map(tops.__getitem__, zn[p])) + 1
                 pieces.append((p, tops[p]))
-            shared._pieces = tuple(sorted(pieces, key=_DROP_ORDER))
-        return shared._pieces
+            self._pieces = tuple(sorted(pieces, key=_DROP_ORDER))
+        return self._pieces
 
     def weight(self) -> tuple[int, ...]:
         k = [0] * self.graph.n
@@ -131,8 +129,7 @@ def _intern(graph: Supergraph, word: tuple) -> Heap:
         pool = _REGISTRY.setdefault(graph, {})
     heap = pool.get(word)
     if heap is None:  # setdefault keeps one heap when two threads race
-        shared = None if graph.is_plain() else _intern(plain(graph), word)
-        heap = pool.setdefault(word, Heap(graph, word, shared))
+        heap = pool.setdefault(word, Heap(graph, word))
     return heap
 
 
@@ -188,19 +185,18 @@ def single(graph: Supergraph, v) -> Heap:
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _superpose_plain(left: Heap, right: Heap) -> tuple[Heap, int]:
-    graph = left.graph
-    word, crossings = _insert(graph, left._word, right._word, range(graph.n))
-    return _intern(graph, word), crossings
+def _superpose_plain(graph: Supergraph, left: tuple, right: tuple) -> tuple[tuple, int]:
+    """The words' product and crossings over a plain graph, for every psi."""
+    return _insert(graph, left, right, range(graph.n))
 
 
 def _superpose(left: Heap, right: Heap) -> tuple[Heap, int]:
-    """:func:`superpose` and the crossings of :func:`_insert`, shared by every psi."""
+    """:func:`superpose` over the factors' graph, and the product's crossings."""
     graph = left.graph
     if graph is not right.graph:
         raise InputError("superposition needs a common supergraph")
-    heap, crossings = _superpose_plain(left._shared, right._shared)
-    return _intern(graph, heap._word), crossings
+    word, crossings = _superpose_plain(plain(graph), left._word, right._word)
+    return _intern(graph, word), crossings
 
 
 def superpose(left: Heap, right: Heap) -> Heap:
@@ -264,16 +260,16 @@ def _standard_words(zeta, cap):
 
 
 @functools.lru_cache(maxsize=None)
-def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[Heap, ...]:
+def _enumerate_plain(graph: Supergraph, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The standard words of weight ``k`` over a plain graph, for every psi."""
     m = sum(k)
-    return tuple(_intern(graph, tuple(word)) for word, _ in _standard_words(graph.zeta, k)
-                 if len(word) == m)
+    return tuple(tuple(word) for word, _ in _standard_words(graph.zeta, k) if len(word) == m)
 
 
 def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All heaps of weight exactly ``k``, ascending in the heap order."""
     k = check_weight(graph, k)
-    return tuple(_intern(graph, h._word) for h in _enumerate_plain(plain(graph), k))
+    return tuple(_intern(graph, word) for word in _enumerate_plain(plain(graph), k))
 
 
 def _heaps_with_words(graph: Supergraph, k, base: int) -> list[tuple[Heap, tuple]]:
@@ -323,16 +319,16 @@ def is_periodic(heap: Heap) -> bool:
     """True if the heap is a d-th power, d >= 2, of a smaller heap."""
     k = heap.weight()
     g = weight_gcd(k)
-    target = heap._shared
+    graph = plain(heap.graph)
     for d in range(2, g + 1):
         if g % d:
             continue
         root_weight = divide_weight(k, d)
-        for f in _enumerate_plain(target.graph, root_weight):
+        for f in _enumerate_plain(graph, root_weight):
             power = f
             for _ in range(d - 1):
-                power = _superpose_plain(power, f)[0]
-            if power == target:
+                power = _superpose_plain(graph, power, f)[0]
+            if power == heap._word:
                 return True
     return False
 

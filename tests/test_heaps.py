@@ -450,8 +450,9 @@ def test_enumeration_interns_only_the_heaps_of_the_weight(path6):
     k = (0, 1, 2, 1, 1, 0)
     clear_caches()
     found = enumerate_heaps(path6, k)
-    pool = heaps._REGISTRY[plain(path6)]
-    assert set(pool.values()) == {h._shared for h in found}
+    assert set(heaps._REGISTRY) == {path6}
+    pool = heaps._REGISTRY[path6]
+    assert set(pool.values()) == set(found)
     assert all(h.weight() == k for h in pool.values())
 
 
@@ -461,7 +462,7 @@ def test_super_lyndon_heaps_intern_only_the_heaps_of_the_weight(path6):
     clear_caches()
     found = super_lyndon_heaps(path6, k)
     assert [h.word() for h in found] == ["2233", "2323"]  # 23 is odd
-    pool = heaps._REGISTRY[plain(path6)]
+    pool = heaps._REGISTRY[path6]
     assert all(h.weight() == k for h in pool.values())
 
 
@@ -835,13 +836,14 @@ def test_multicharacter_names_dot_join():
 
 
 # ---------------------------------------------------------------------------
-# One interned heap per graph; heaps over annotated graphs share the plain twin's.
+# One interned heap per graph, built only over the graph it was asked for;
+# every psi of one adjacency shares the plain twin's words and products.
 
 def with_psi(graph, psi):
     return Supergraph(graph.names, graph.edges, psi=psi)
 
 
-def test_enumerated_views_share_the_plain_twins_heaps(p4):
+def test_enumerations_over_every_psi_give_the_plain_twins_words(p4):
     for r in range(p4.n + 1):
         for psi in itertools.combinations(range(p4.n), r):
             g = with_psi(p4, psi)
@@ -850,24 +852,45 @@ def test_enumerated_views_share_the_plain_twins_heaps(p4):
                 got = enumerate_heaps(g, k)
                 assert len(got) == len(twin)
                 for h, t in zip(got, twin):
-                    assert h._shared is t and t._shared is t
-                    assert h.graph == g and h.pieces == t.pieces
+                    assert standard_word(h) == standard_word(t)
+                    assert h.graph is g and h.pieces == t.pieces
 
 
-def test_annotated_pools_share_the_plain_twins_heaps(path6, tree6):
+def build_bases(path6, tree6):
+    clear_caches()
     for graph, k in ((path6, (0, 0, 2, 1, 2, 1)), (path6, (0, 1, 2, 1, 1, 0)),
                      (tree6, (0, 0, 3, 0, 0, 3)), (tree6, (0, 1, 2, 1, 1, 0))):
         lyndon_heap_basis(graph, k)
         for base in support(k):
             lln_basis(graph, k, base)
+
+
+def test_annotated_pools_hold_their_graphs_heaps(path6, tree6):
+    build_bases(path6, tree6)
     annotated = [g for g in heaps._REGISTRY if not g.is_plain()]
     assert path6 in annotated and tree6 in annotated
     for g, pool in heaps._REGISTRY.items():
-        twins = heaps._REGISTRY[plain(g)]
         for word, h in pool.items():  # a pool is keyed by standard words
             assert h.graph is g and standard_word(h) == word
-            assert h._shared is twins[word] and h._shared._shared is h._shared
-            assert h.pieces is h._shared.pieces
+            assert h.pieces is h.pieces == drop(g, (), word)  # kept on the heap
+
+
+def test_bases_build_no_heap_over_a_plain_twin(path6, tree6):
+    build_bases(path6, tree6)
+    assert set(heaps._REGISTRY) == {path6, tree6}  # no pool for either plain twin
+
+
+def test_products_over_two_psi_share_one_plain_product(p4):
+    """The same product over two psi of one adjacency is computed once."""
+    clear_caches()
+    found = []
+    for g in (with_psi(p4, [1]), with_psi(p4, [0, 2])):
+        found.append(heaps._superpose(heap_from_word(g, "12"), heap_from_word(g, "32")))
+        assert found[-1][0] is heap_from_word(g, "1232")
+    info = heaps._superpose_plain.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert found[0][1] == found[1][1]  # the crossings; the signs read psi
+    assert plain(p4) not in heaps._REGISTRY
 
 
 def test_threads_building_one_heap_get_one_object(path6):
@@ -899,12 +922,14 @@ def test_threads_building_one_heap_get_one_object(path6):
     assert all(len(out) == len(words) for out in results)
     for r, word in enumerate(words):
         assert len({id(out[r]) for out in results}) == 1, word
-        assert results[0][r]._shared is heap_from_word(plain(path6), word)
+        assert results[0][r] is heap_from_word(path6, word)
+        assert standard_word(results[0][r]) == standard_word(heap_from_word(plain(path6), word))
 
 
-def test_empty_view_shares_the_empty_heap(path6, p4_odd):
+def test_empty_heap_is_one_object_per_graph(path6, p4_odd):
     for g in (path6, p4_odd):
-        assert empty_heap(g)._shared is empty_heap(plain(g))
+        assert empty_heap(g) is empty_heap(g) and not empty_heap(g)
+        assert standard_word(empty_heap(g)) == standard_word(empty_heap(plain(g))) == ()
         assert empty_heap(g) == empty_heap(g) != empty_heap(plain(g))
 
 
@@ -915,8 +940,9 @@ def test_views_compare_by_graph_and_pieces(p4):
     assert a is b and a == b and hash(a) == hash(b)
     assert [id(h) for h in enumerate_heaps(g, a.weight()) if h == a] == [id(a)]
     twin = heap_from_word(plain(g), "1232")
-    assert twin is a._shared and a != twin and twin != a
-    assert standard_word(a) == standard_word(twin)
+    assert twin.graph is plain(g) and a != twin and twin != a
+    assert standard_word(a) == standard_word(twin) and a.pieces == twin.pieces
     c = heap_from_word(other, "1232")
-    assert c._shared is twin and a != c and len({a, b, c, twin}) == 3
+    assert standard_word(c) == standard_word(twin) and c.pieces == twin.pieces
+    assert a != c and len({a, b, c, twin}) == 3
 
