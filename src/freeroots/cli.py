@@ -9,12 +9,15 @@ consistency check.
 
 ``_COMMANDS`` is the one place a command is declared: its words, usage
 line, handler and options.  The usage text, the dispatch and each
-command's parser are all derived from it.
+command's parser are all derived from it.  A command's parser is built
+from the table on its first use and kept for the life of the process, so
+a caller that runs ``main`` many times in one process builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,29 +36,40 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse(words, argv, options):
-    """Parse one command's arguments and load what they name.
+@functools.cache
+def _parser(words):
+    """The parser of the command ``words``, derived from its ``_COMMANDS``
+    options on first use and kept for the life of the process.
 
-    ``options`` holds a positional name, a required ``--flag`` or a
-    ``(--flag, choices, default)`` triple per argument.  ``--graph`` is
-    loaded into ``supergraph`` (the path stays in ``graph``), and
-    ``--weight`` and ``--cap`` are read as weights of that graph.
+    The options hold a positional name, a required ``--flag`` or a
+    ``(--flag, choices, default)`` triple per argument.  ``parse_args``
+    returns a new namespace on each call, so no call sees another's.
     """
-    command = " ".join(words)
-    p = _Parser(prog="freeroots " + command)
+    p = _Parser(prog="freeroots " + " ".join(words))
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", help=argparse.SUPPRESS)
-    for opt in options:
+    for opt in _COMMANDS[words][2]:
         if isinstance(opt, tuple):
             p.add_argument(opt[0], choices=opt[1], default=opt[2])
         elif opt.startswith("--"):
             p.add_argument(opt, required=True)
         else:
             p.add_argument(opt)
-    args = p.parse_args(argv)
+    return p
+
+
+def _parse(words, argv):
+    """Parse one command's arguments and load what they name.
+
+    ``--graph`` is loaded into ``supergraph`` (the path stays in
+    ``graph``), and ``--weight`` and ``--cap`` are read as weights of that
+    graph.
+    """
+    args = _parser(words).parse_args(argv)
     if args.seed is not None:
         raise InputError("--seed is not supported: all computations are deterministic")
-    args.command = command
+    args.command = " ".join(words)
+    options = _COMMANDS[words][2]
     if "--graph" in options:
         args.supergraph, _ = sg.load_graph(args.graph)
         for name in ("weight", "cap"):
@@ -317,8 +331,9 @@ def run_verification_suite(graph, cap):
 
 # ---------------------------------------------------------------------------
 
-# words -> (usage line, handler, options read by ``_parse``).  Handlers look
-# library functions up per call, so a wrapper set on a module sees each call.
+# words -> (usage line, handler, options read by ``_parser`` and ``_parse``).
+# Handlers look library functions up per call, so a wrapper set on a module
+# sees each call.
 _COMMANDS = {
     ("validate",): ("validate <file>", _cmd_validate, ("file",)),
     ("heaps", "enumerate"): (
@@ -368,12 +383,11 @@ def _dispatch(argv) -> int:
         if subs:
             raise InputError(f"usage: freeroots {argv[0]} {'|'.join(subs)} ...")
         raise InputError(f"unknown command {argv[0]!r}")
-    _, handler, options = _COMMANDS[words]
     try:
-        args = _parse(words, argv[len(words):], options)
+        args = _parse(words, argv[len(words):])
     except SystemExit as exc:  # the command's --help, printed by argparse
         return exc.code
-    return handler(args)
+    return _COMMANDS[words][1](args)
 
 
 def main(argv=None) -> int:

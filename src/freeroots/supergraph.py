@@ -63,6 +63,23 @@ def _vertex_index(index: dict, v) -> int:
     return i
 
 
+def _items(xs, what: str) -> tuple:
+    """``tuple(xs)``; ``InputError`` naming ``what`` if ``xs`` is not iterable."""
+    try:
+        return tuple(xs)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {xs!r}") from None
+
+
+def _edge(index: dict, e) -> tuple[int, int]:
+    """Positions of an edge: a non-string iterable of exactly two vertices."""
+    try:
+        a, b = () if isinstance(e, str) else e
+    except (TypeError, ValueError):
+        raise InputError(f"an edge is a pair of vertices, got {e!r}") from None
+    return _vertex_index(index, a), _vertex_index(index, b)
+
+
 class Supergraph:
     """Immutable simple graph with odd / real / zero-norm-odd vertex subsets.
 
@@ -77,20 +94,20 @@ class Supergraph:
                  "adj", "zeta", "zeta_neighbors", "_index", "__weakref__")
 
     def __new__(cls, names, edges=(), psi=(), real=(), psi0=()):
-        names = tuple(str(v) for v in names)
+        names = tuple(map(str, _items(names, "the vertex list")))
         if len(set(names)) != len(names):
             raise InputError(f"duplicate vertex names: {names}")
         index = {v: i for i, v in enumerate(names)}
 
         norm_edges = set()
-        for a, b in edges:
-            i, j = _vertex_index(index, a), _vertex_index(index, b)
+        for e in _items(edges, "edges"):
+            i, j = _edge(index, e)
             if i == j:
                 raise InputError(f"self-loop at vertex {names[i]!r}")
             norm_edges.add((min(i, j), max(i, j)))
         edges = frozenset(norm_edges)
-        psi, real, psi0 = (frozenset(_vertex_index(index, v) for v in vs)
-                           for vs in (psi, real, psi0))
+        psi, real, psi0 = (frozenset(_vertex_index(index, v) for v in _items(vs, what))
+                           for vs, what in ((psi, "psi"), (real, "real"), (psi0, "psi0")))
         if not psi0 <= psi:
             raise InputError("psi0 must be a subset of psi")
         if real & psi0:
@@ -273,17 +290,25 @@ def join_graph(graph: Supergraph, k) -> Supergraph:
 # ---------------------------------------------------------------------------
 # Supermatrices.
 
+def _rational(x) -> Fraction:
+    """``Fraction(x)``; ``InputError`` for what is not an exact rational."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"bad matrix entry {x!r}") from None
+
+
 class BkmSupermatrix:
     """Square matrix of exact rationals with a set of odd indices."""
 
     __slots__ = ("names", "n", "entries", "psi")
 
     def __init__(self, names, entries, psi=()):
-        self.names = tuple(str(v) for v in names)
+        self.names = tuple(map(str, _items(names, "the vertex list")))
         self.n = len(self.names)
         rows = []
-        for row in entries:
-            row = tuple(Fraction(x) for x in row)
+        for row in _items(entries, "matrix entries"):
+            row = tuple(map(_rational, _items(row, "a matrix row")))
             if len(row) != self.n:
                 raise InputError("matrix is not square")
             rows.append(row)
@@ -291,7 +316,7 @@ class BkmSupermatrix:
             raise InputError("matrix is not square")
         self.entries = tuple(rows)
         index = {v: i for i, v in enumerate(self.names)}
-        self.psi = frozenset(_vertex_index(index, v) for v in psi)
+        self.psi = frozenset(_vertex_index(index, v) for v in _items(psi, "psi"))
 
     def __getitem__(self, ij):
         i, j = ij

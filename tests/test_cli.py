@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freeroots import Supergraph, chromatic, multiplicity, superlie
+from freeroots import Supergraph, chromatic, cli, enumerate_heaps, multiplicity, superlie
 from freeroots.cli import _write_basis, main
 from freeroots.supergraph import is_free_weight, load_graph, plain, support
 from conftest import (TREE6_MATRIX, PATH6_MATRIX, MALFORMED_DOCUMENTS, basis_document,
@@ -354,13 +354,16 @@ def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
 
 
-@pytest.mark.parametrize("argv", [["mult", "--help"], ["mult", "table", "-h"],
-                                  ["validate", "--help"]])
-def test_command_help_returns_zero(argv, capsys):
-    assert main(argv) == 0
-    out, err = capsys.readouterr()
-    assert out.startswith("usage: freeroots " + " ".join(argv[:-1]) + " ")
-    assert err == ""
+@pytest.mark.parametrize("words", sorted(cli._COMMANDS), ids=" ".join)
+def test_command_help_returns_zero(words, capsys):
+    outputs = []
+    for _ in range(2):
+        assert main([*words, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: freeroots " + " ".join(words) + " ")
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_output_deterministic(tree6_file, capsys):
@@ -372,7 +375,8 @@ def test_output_deterministic(tree6_file, capsys):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("argv", [
+# One request per command, on the graph file ``{g}``.
+EVERY_COMMAND = [
     ["validate", "{g}"],
     ["heaps", "enumerate", "--graph", "{g}", "--weight", "1,1,1,0,0,1"],
     ["basis", "lyndon", "--graph", "{g}", "--weight", "0,0,3,0,0,3"],
@@ -384,7 +388,10 @@ def test_output_deterministic(tree6_file, capsys):
     ["verify", "cartier-foata", "--graph", "{g}", "--cap", "0,1,2,0,0,1"],
     ["verify", "triangular", "--graph", "{g}", "--weight", "0,1,2,0,0,1"],
     ["verify", "all", "--graph", "{g}", "--cap", "0,1,1,0,0,1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_json_output_is_json_dumps_of_its_parse(tree6_file, capsys, argv):
     # Every command's --json bytes are json.dumps(doc, indent=2,
     # sort_keys=True) and a newline; basis commands write theirs by hand.
@@ -393,6 +400,67 @@ def test_json_output_is_json_dumps_of_its_parse(tree6_file, capsys, argv):
     doc = json.loads(out)
     assert doc["command"] == " ".join(itertools.takewhile(lambda a: a[0] not in "-{", argv))
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Each command's parser is built once per process, and no call carries
+# state into the next.
+
+def test_each_commands_parser_is_built_once(tree6_file, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert {tuple(itertools.takewhile(lambda a: a[0] not in "-{", argv))
+            for argv in EVERY_COMMAND} == set(cli._COMMANDS)
+    outputs = []
+    for _ in range(3):
+        for argv in EVERY_COMMAND:
+            assert main([a.format(g=tree6_file) for a in argv]) == 0
+            outputs.append(capsys.readouterr())
+    assert sorted(built) == sorted("freeroots " + " ".join(w) for w in cli._COMMANDS)
+    assert outputs[:len(EVERY_COMMAND)] * 3 == outputs
+
+
+def test_class_of_one_call_is_not_kept(tree6_file, capsys):
+    argv = ["heaps", "enumerate", "--graph", tree6_file, "--weight", "1,1,1,0,0,1"]
+    _, lyndon = run_json(capsys, argv + ["--class", "lyndon"])
+    _, every = run_json(capsys, argv)
+    assert every["result"]["class"] == "heap"
+    graph, _ = load_graph(tree6_file)
+    assert every["result"]["count"] == len(enumerate_heaps(graph, (1, 1, 1, 0, 0, 1)))
+    assert lyndon["result"]["count"] < every["result"]["count"]
+
+
+def test_method_of_one_call_is_not_kept(tree6_file, capsys):
+    argv = ["mult", "--graph", tree6_file, "--weight", "0,0,3,0,0,3"]
+    assert main(argv + ["--method", "closed"]) == 0
+    closed = capsys.readouterr().out
+    assert main(argv) == 0
+    both = capsys.readouterr().out
+    assert both.startswith("mult = ") and not closed.startswith("mult = ")
+    assert main(argv + ["--method", "both"]) == 0
+    assert capsys.readouterr().out == both
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--graph", "{g}"], "error: the following arguments are required: --weight\n"),
+    (["--graph", "{g}", "--weight", "0,0,1,0,0,1", "--frob"],
+     "error: unrecognized arguments: --frob\n"),
+])
+def test_usage_error_leaves_the_next_call_alone(tree6_file, capsys, bad, message):
+    argv = ["mult", "--graph", tree6_file, "--weight", "0,0,1,0,0,1"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(["mult"] + [a.format(g=tree6_file) for a in bad]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
 
 
 def test_json_round_trip(tree6_file, capsys):

@@ -340,6 +340,43 @@ def test_bad_vertex_refused_everywhere(v, message):
             call()
 
 
+BAD_CONSTRUCTIONS = {
+    "string-edge": (lambda: Supergraph(["a", "b"], ["ab"]),
+                    "an edge is a pair of vertices, got 'ab'"),
+    "triple-edge": (lambda: Supergraph(["a", "b", "c"], [("a", "b", "c")]),
+                    "an edge is a pair of vertices, got ('a', 'b', 'c')"),
+    "single-edge": (lambda: Supergraph(["a", "b"], [("a",)]),
+                    "an edge is a pair of vertices, got ('a',)"),
+    "integer-edge": (lambda: Supergraph(["a", "b"], [0]), "an edge is a pair of vertices, got 0"),
+    "integer-edges": (lambda: Supergraph(["a", "b"], 5), "edges must be iterable, got 5"),
+    "integer-psi": (lambda: Supergraph(["a"], psi=5), "psi must be iterable, got 5"),
+    "integer-vertices": (lambda: Supergraph(5), "the vertex list must be iterable, got 5"),
+    "none-entry": (lambda: BkmSupermatrix(["a"], [[None]]), "bad matrix entry None"),
+    "text-entry": (lambda: BkmSupermatrix(["a"], [["x"]]), "bad matrix entry 'x'"),
+    "zero-denominator": (lambda: BkmSupermatrix(["a"], [["1/0"]]), "bad matrix entry '1/0'"),
+    "infinite-entry": (lambda: BkmSupermatrix(["a"], [[float("inf")]]), "bad matrix entry inf"),
+    "integer-row": (lambda: BkmSupermatrix(["a"], [2]), "a matrix row must be iterable, got 2"),
+    "integer-matrix": (lambda: BkmSupermatrix(["a"], 2), "matrix entries must be iterable, got 2"),
+    "integer-matrix-psi": (lambda: BkmSupermatrix(["a"], [[2]], psi=5),
+                           "psi must be iterable, got 5"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_CONSTRUCTIONS.values(), ids=BAD_CONSTRUCTIONS)
+def test_bad_constructor_input_is_input_error(call, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
+
+
+def test_edges_are_pairs_in_any_container():
+    g = Supergraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    for edges in ([["a", "b"], ["c", "b"]], {(0, 1), (1, 2)}, (("a", 1), [2, "b"]),
+                  [{"a", "b"}, frozenset((1, 2))], iter([(0, 1), (1, 2)])):
+        assert Supergraph(["a", "b", "c"], edges) is g
+    m = BkmSupermatrix(("a", "b"), ((2, "-1/2"), [Fraction(-1), -1]), psi={"b"})
+    assert m.entries == ((2, Fraction(-1, 2)), (-1, -1)) and m.psi == {1}
+
+
 @pytest.mark.parametrize("doc", [{"vertices": ["a", "b"], "psi": ["x"]},
                                  {"vertices": ["a", "b"], "psi": [7]}])
 def test_matrix_documents_refuse_psi_like_graph_documents(doc):
