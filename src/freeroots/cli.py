@@ -58,7 +58,7 @@ def _parser(words):
     return p
 
 
-def _parse(words, argv):
+def _parse(words, argv, options):
     """Parse one command's arguments and load what they name.
 
     ``--graph`` is loaded into ``supergraph`` (the path stays in
@@ -69,7 +69,6 @@ def _parse(words, argv):
     if args.seed is not None:
         raise InputError("--seed is not supported: all computations are deterministic")
     args.command = " ".join(words)
-    options = _COMMANDS[words][2]
     if "--graph" in options:
         args.supergraph, _ = sg.load_graph(args.graph)
         for name in ("weight", "cap"):
@@ -383,11 +382,12 @@ def _dispatch(argv) -> int:
         if subs:
             raise InputError(f"usage: freeroots {argv[0]} {'|'.join(subs)} ...")
         raise InputError(f"unknown command {argv[0]!r}")
+    _, handler, options = _COMMANDS[words]
     try:
-        args = _parse(words, argv[len(words):])
+        args = _parse(words, argv[len(words):], options)
     except SystemExit as exc:  # the command's --help, printed by argparse
         return exc.code
-    return _COMMANDS[words][1](args)
+    return handler(args)
 
 
 def main(argv=None) -> int:

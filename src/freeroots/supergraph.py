@@ -291,11 +291,15 @@ def join_graph(graph: Supergraph, k) -> Supergraph:
 # Supermatrices.
 
 def _rational(x) -> Fraction:
-    """``Fraction(x)``; ``InputError`` for what is not an exact rational."""
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InputError(f"bad matrix entry {x!r}") from None
+    """A matrix entry as a ``Fraction``: an int, a ``Fraction`` or a string
+    such as ``"-3/2"``.  Anything else, bools and floats included, is an
+    ``InputError``."""
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"bad matrix entry {x!r}")
 
 
 class BkmSupermatrix:
@@ -413,19 +417,6 @@ def quasi_dynkin(matrix: BkmSupermatrix) -> Supergraph:
 _GRAPH_KEYS = {"vertices", "edges", "psi", "matrix"}
 
 
-def parse_rational(x) -> Fraction:
-    if isinstance(x, bool):
-        raise InputError(f"bad matrix entry {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational {x!r}") from None
-    raise InputError(f"bad matrix entry {x!r}")
-
-
 def _array(doc: dict, key: str, item_ok, items: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list) or not all(map(item_ok, value)):
@@ -457,7 +448,7 @@ def matrix_from_document(doc: dict) -> BkmSupermatrix | None:
     if "edges" in doc:
         raise InputError("'edges' must be absent when 'matrix' is given")
     rows = _array(doc, "matrix", lambda row: type(row) is list, "rows")
-    return BkmSupermatrix(names, [[parse_rational(x) for x in row] for row in rows], psi)
+    return BkmSupermatrix(names, rows, psi)
 
 
 def graph_from_document(doc: dict) -> tuple[Supergraph, BkmSupermatrix | None]:

@@ -356,9 +356,10 @@ def test_unknown_command(capsys):
 
 @pytest.mark.parametrize("words", sorted(cli._COMMANDS), ids=" ".join)
 def test_command_help_returns_zero(words, capsys):
+    # --help on the first call and -h on the second, from one cached parser.
     outputs = []
-    for _ in range(2):
-        assert main([*words, "--help"]) == 0
+    for flag in ("--help", "-h"):
+        assert main([*words, flag]) == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: freeroots " + " ".join(words) + " ")
         assert err == ""

@@ -355,6 +355,8 @@ BAD_CONSTRUCTIONS = {
     "text-entry": (lambda: BkmSupermatrix(["a"], [["x"]]), "bad matrix entry 'x'"),
     "zero-denominator": (lambda: BkmSupermatrix(["a"], [["1/0"]]), "bad matrix entry '1/0'"),
     "infinite-entry": (lambda: BkmSupermatrix(["a"], [[float("inf")]]), "bad matrix entry inf"),
+    "bool-entry": (lambda: BkmSupermatrix(["a"], [[True]]), "bad matrix entry True"),
+    "float-entry": (lambda: BkmSupermatrix(["a"], [[0.1]]), "bad matrix entry 0.1"),
     "integer-row": (lambda: BkmSupermatrix(["a"], [2]), "a matrix row must be iterable, got 2"),
     "integer-matrix": (lambda: BkmSupermatrix(["a"], 2), "matrix entries must be iterable, got 2"),
     "integer-matrix-psi": (lambda: BkmSupermatrix(["a"], [[2]], psi=5),
