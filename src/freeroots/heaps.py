@@ -32,7 +32,8 @@ words that start with the base and use it once are the super-letters on it
 A heap lives on the adjacency; psi only gives its letters a parity.  The
 walk's words and each product's word and crossings are cached per plain
 twin, for every psi; heaps are interned, one pool per graph, only over the
-graph a caller asked for.
+graph a caller asked for: the super bracket interns only the heaps of its
+result.
 """
 
 from __future__ import annotations
@@ -186,22 +187,22 @@ def single(graph: Supergraph, v) -> Heap:
 
 @functools.lru_cache(maxsize=1 << 18)
 def _superpose_plain(graph: Supergraph, left: tuple, right: tuple) -> tuple[tuple, int]:
-    """The words' product and crossings over a plain graph, for every psi."""
+    """The words' product and crossings over a plain graph, for every psi;
+    the one product cache, read over the plain twin of the factors' graph."""
     return _insert(graph, left, right, range(graph.n))
 
 
-def _superpose(left: Heap, right: Heap) -> tuple[Heap, int]:
-    """:func:`superpose` over the factors' graph, and the product's crossings."""
-    graph = left.graph
-    if graph is not right.graph:
+def _common_graph(left, right) -> Supergraph:
+    """The graph of two factors (heaps or polynomials), which must share it."""
+    if left.graph is not right.graph:
         raise InputError("superposition needs a common supergraph")
-    word, crossings = _superpose_plain(plain(graph), left._word, right._word)
-    return _intern(graph, word), crossings
+    return left.graph
 
 
 def superpose(left: Heap, right: Heap) -> Heap:
     """Let ``right`` fall on top of ``left``; the monoid product."""
-    return _superpose(left, right)[0]
+    graph = _common_graph(left, right)
+    return _intern(graph, _superpose_plain(plain(graph), left._word, right._word)[0])
 
 
 def standard_word(heap: Heap) -> tuple[int, ...]:

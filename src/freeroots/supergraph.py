@@ -71,6 +71,14 @@ def _items(xs, what: str) -> tuple:
         raise InputError(f"{what} must be iterable, got {xs!r}") from None
 
 
+def _vertex_set(index: dict, vs, what: str) -> frozenset:
+    """Positions of a collection of vertices; a string is refused, not
+    read as its characters."""
+    if isinstance(vs, str):
+        raise InputError(f"{what} is a collection of vertices, got the string {vs!r}")
+    return frozenset(_vertex_index(index, v) for v in _items(vs, what))
+
+
 def _edge(index: dict, e) -> tuple[int, int]:
     """Positions of an edge: a non-string iterable of exactly two vertices."""
     try:
@@ -106,7 +114,7 @@ class Supergraph:
                 raise InputError(f"self-loop at vertex {names[i]!r}")
             norm_edges.add((min(i, j), max(i, j)))
         edges = frozenset(norm_edges)
-        psi, real, psi0 = (frozenset(_vertex_index(index, v) for v in _items(vs, what))
+        psi, real, psi0 = (_vertex_set(index, vs, what)
                            for vs, what in ((psi, "psi"), (real, "real"), (psi0, "psi0")))
         if not psi0 <= psi:
             raise InputError("psi0 must be a subset of psi")
@@ -320,7 +328,7 @@ class BkmSupermatrix:
             raise InputError("matrix is not square")
         self.entries = tuple(rows)
         index = {v: i for i, v in enumerate(self.names)}
-        self.psi = frozenset(_vertex_index(index, v) for v in _items(psi, "psi"))
+        self.psi = _vertex_set(index, psi, "psi")
 
     def __getitem__(self, ij):
         i, j = ij

@@ -7,7 +7,8 @@ expanding.  The product of basis elements is the signed superposition
 pass in rewriting st(E) st(F) into st(EoF), as recorded while the product
 is built.  The super bracket
 ``[x, y] = x o y - (-1)^{p(x) p(y)} y o x`` of parity-homogeneous operands
-sums both products of each pair of terms into one polynomial.
+sums both products of each pair of terms, read as words and crossings
+from the plain twin's cache, and interns only the heaps of the result.
 
 Two bases are constructed for each graded piece: one by bracketing the
 standard factorization of each super Lyndon heap, and one from super Lyndon
@@ -26,8 +27,8 @@ from itertools import compress, count, islice, takewhile
 from operator import attrgetter
 
 from .errors import InputError, ConsistencyError
-from .supergraph import Supergraph, check_weight
-from .heaps import (Heap, _superpose, single, standard_word, heap_from_word,
+from .supergraph import Supergraph, plain, check_weight
+from .heaps import (Heap, _common_graph, _intern, _superpose_plain, single, standard_word, heap_from_word,
                     enumerate_heaps, super_lyndon_heaps, is_super_letter, is_super_lyndon,
                     is_super_lyndon_word, word_standard_factorization, _standard_words,
                     _base_least, _heaps_with_words, _cut_super_letters, _spell)
@@ -182,6 +183,12 @@ class HeapPolynomial:
         return " + ".join(f"{c}*{h.word()}" for h, c in self.sorted_terms())
 
 
+def _odd_pairs(graph: Supergraph) -> int:
+    """The crossing bits ``b * n + x`` whose vertices b and x are both odd."""
+    odd = sum(1 << p for p in graph.psi)
+    return sum(odd << p * graph.n for p in graph.psi)
+
+
 @functools.lru_cache(maxsize=1 << 18)
 def signed_superpose(e: Heap, f: Heap) -> tuple[Heap, int]:
     """Product of the basis elements indexed by e and f.
@@ -190,28 +197,34 @@ def signed_superpose(e: Heap, f: Heap) -> tuple[Heap, int]:
     product is the image of the concatenation: the heap e o f together
     with the sign of rewriting st(e) st(f) into st(e o f).  Laying st(f) on
     st(e) is such a rewriting, and each interchange of odd letters costs -1.
+    For direct callers; the bracket builds no heap per product.
     """
-    graph = e.graph
-    h, crossings = _superpose(e, f)
-    odd = sum(1 << p for p in graph.psi)
-    odd_pairs = sum(odd << p * graph.n for p in graph.psi)
-    return h, -1 if (crossings & odd_pairs).bit_count() & 1 else 1
+    graph = _common_graph(e, f)
+    word, crossings = _superpose_plain(plain(graph), e._word, f._word)
+    return _intern(graph, word), -1 if (crossings & _odd_pairs(graph)).bit_count() & 1 else 1
 
 
 def bracket_expand(p: HeapPolynomial, q: HeapPolynomial) -> HeapPolynomial:
-    """Super bracket x o y - (-1)^{p(x)p(y)} y o x of homogeneous operands."""
+    """Super bracket x o y - (-1)^{p(x)p(y)} y o x of homogeneous operands.
+
+    Terms are summed by standard word; each heap of the result is interned once.
+    """
     pp, pq = p.parity(), q.parity()
+    graph = _common_graph(p, q)
     if not p or not q:
-        return HeapPolynomial(p.graph)
+        return HeapPolynomial(graph)
+    twin, odd_pairs = plain(graph), _odd_pairs(graph)
     sign = 1 if (pp and pq) else -1
     out = {}
     for e, a in p.terms.items():
         for f, b in q.terms.items():
-            h, s = signed_superpose(e, f)
-            out[h] = out.get(h, 0) + a * b * s
-            h, s = signed_superpose(f, e)
-            out[h] = out.get(h, 0) + sign * a * b * s
-    return HeapPolynomial(p.graph, out)
+            c = a * b
+            word, crossings = _superpose_plain(twin, e._word, f._word)
+            out[word] = out.get(word, 0) + (-c if (crossings & odd_pairs).bit_count() & 1 else c)
+            c *= sign
+            word, crossings = _superpose_plain(twin, f._word, e._word)
+            out[word] = out.get(word, 0) + (-c if (crossings & odd_pairs).bit_count() & 1 else c)
+    return HeapPolynomial(graph, {_intern(graph, w): c for w, c in out.items() if c})
 
 
 @functools.lru_cache(maxsize=None)

@@ -65,3 +65,14 @@ def test_heaps_kept_across_clear_caches_equal_the_rebuilt_ones(path6):
             new = heap_from_word(graph, h.word())
             assert new is not h and old_poly.coefficient(new) == c != 0
         assert expand_monomial(left_normed("345653"), graph).terms == old_poly.terms
+
+
+def test_bases_read_every_product_from_the_plain_cache(path6):
+    """The bracket takes each product from the plain twin's cache; the
+    signed product's own cache serves direct callers only."""
+    clear_caches()
+    k = (0, 0, 2, 1, 2, 1)
+    lyndon_heap_basis(path6, k)
+    lln_basis(path6, k, "3")
+    assert superlie.signed_superpose.cache_info().currsize == 0
+    assert heaps._superpose_plain.cache_info().hits > 0

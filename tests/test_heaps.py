@@ -18,8 +18,8 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
                              super_letter_factors, is_super_letter, is_pyramid)
 from freeroots import heaps
 from freeroots.supergraph import plain, support, weights_up_to
-from freeroots.superlie import (super_letter_alphabet, lyndon_heap_basis,
-                                lln_basis)
+from freeroots.superlie import (HeapPolynomial, bracket_expand, super_letter_alphabet,
+                                lyndon_heap_basis, lln_basis)
 from heap_oracles import (drop, greedy_word, rewriting_sign, decompositions,
                           standard_factorization, word_class,
                           lyndon_words_of_content, relabel, heaps_up_to,
@@ -881,15 +881,21 @@ def test_bases_build_no_heap_over_a_plain_twin(path6, tree6):
 
 
 def test_products_over_two_psi_share_one_plain_product(p4):
-    """The same product over two psi of one adjacency is computed once."""
+    """A bracket over two psi of one adjacency computes each product once."""
     clear_caches()
     found = []
     for g in (with_psi(p4, [1]), with_psi(p4, [0, 2])):
-        found.append(heaps._superpose(heap_from_word(g, "12"), heap_from_word(g, "32")))
-        assert found[-1][0] is heap_from_word(g, "1232")
-    info = heaps._superpose_plain.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert found[0][1] == found[1][1]  # the crossings; the signs read psi
+        x = HeapPolynomial(g, {heap_from_word(g, "21"): 1})
+        out = bracket_expand(x, HeapPolynomial.generator(g, "3"))
+        found.append({h.word(): c for h, c in out.terms.items()})
+        assert all(h.graph is g for h in out.terms)
+        info = heaps._superpose_plain.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * (len(found) - 1))
+    # one plain product 21 o 3 with one crossing set, on the pair (3, 1),
+    # which psi = {1, 3} reads as odd and psi = {2} as even
+    word, crossings = heaps._superpose_plain(plain(p4), (1, 0), (2,))
+    assert (word, crossings) == ((1, 2, 0), 1 << 2 * p4.n + 0)
+    assert found == [{"231": 1, "321": -1}, {"231": -1, "321": 1}]
     assert plain(p4) not in heaps._REGISTRY
 
 

@@ -370,6 +370,27 @@ def test_bad_constructor_input_is_input_error(call, message):
         call()
 
 
+STRING_VERTEX_SETS = {
+    "psi": (lambda: Supergraph(["a", "b"], psi="ab"), "psi"),
+    "psi-digits": (lambda: Supergraph(["0", "1", "2"], psi="10"), "psi"),
+    "real": (lambda: Supergraph(["a", "b"], real="a"), "real"),
+    "psi0": (lambda: Supergraph(["a", "b"], psi=["a"], psi0="a"), "psi0"),
+    "matrix-psi": (lambda: BkmSupermatrix(["a", "b"], [[2, 0], [0, 2]], psi="b"), "psi"),
+}
+
+
+@pytest.mark.parametrize("call, what", STRING_VERTEX_SETS.values(), ids=STRING_VERTEX_SETS)
+def test_a_string_is_not_a_set_of_vertices(call, what):
+    """A string names one vertex, so it is refused where a set of them is
+    asked for, not read as its characters."""
+    with pytest.raises(InputError, match=f"^{what} is a collection of vertices, got the string"):
+        call()
+
+
+def test_a_string_vertex_list_is_one_vertex_per_character():
+    assert Supergraph("ab", [("a", "b")], psi=["b"]) is Supergraph(["a", "b"], [(0, 1)], psi=[1])
+
+
 def test_edges_are_pairs_in_any_container():
     g = Supergraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     for edges in ([["a", "b"], ["c", "b"]], {(0, 1), (1, 2)}, (("a", 1), [2, "b"]),

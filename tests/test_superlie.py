@@ -13,7 +13,7 @@ from freeroots.heaps import (heap_from_word, heap_from_pieces, single, superpose
                              super_lyndon_heaps, lyndon_heaps, is_lyndon,
                              classify, is_pyramid)
 from freeroots import heaps
-from freeroots.supergraph import (is_connected_support, support, weights_up_to,
+from freeroots.supergraph import (is_connected_support, plain, support, weights_up_to,
                                   load_graph)
 from freeroots.superlie import (LieMonomial, HeapPolynomial, bracket_expand, expand_monomial,
                                 leaf, bracket, left_normed, lambda_monomial,
@@ -172,23 +172,50 @@ def _bracket_nodes(m):
         yield from _bracket_nodes(m.right)
 
 
-def test_bracket_expand_matches_concat_oracle(path6):
-    """[x, y] = x y - (-1)^{p(x)p(y)} y x on every bracket of both bases."""
-    checked = 0
-    for k in ((0, 0, 2, 1, 2, 1), (0, 1, 2, 1, 1, 0), (0, 0, 2, 2, 2, 1)):
-        bases = [lyndon_heap_basis(path6, k)]
-        bases += [lln_basis(path6, k, base) for base in ("3", "5")]
-        for basis in bases:
-            for element in basis.elements:
-                for node in _bracket_nodes(element.monomial):
-                    x = expand_monomial(node.left, basis.graph)
-                    y = expand_monomial(node.right, basis.graph)
-                    s = 1 if x.parity() and y.parity() else -1
-                    out = bracket_expand(x, y)
-                    assert out == concat(x, y) + concat(y, x) * s
-                    assert 0 not in out.terms.values()
-                    checked += 1
-    assert checked > 100
+def test_bracket_expand_matches_concat_oracle():
+    """[x, y] = x y - (-1)^{p(x)p(y)} y x on every bracket of both bases.
+
+    Over path6 as loaded, its plain twin and path6 with every vertex odd,
+    in turn and with the caches kept: the three share one plain product
+    cache, so a sign kept with a product's word would be read over the
+    wrong psi.
+    """
+    path6, _ = load_graph(os.path.join(ROOT, "sample_graphs", "path6.json"))
+    all_odd = Supergraph(path6.names, path6.edges, psi=range(path6.n))
+    for graph in (path6, plain(path6), all_odd):
+        checked = 0
+        for k in ((0, 0, 2, 1, 2, 1), (0, 1, 2, 1, 1, 0), (0, 0, 2, 2, 2, 1)):
+            bases = [lyndon_heap_basis(graph, k)]
+            bases += [lln_basis(graph, k, base) for base in ("3", "5")]
+            for basis in bases:
+                for element in basis.elements:
+                    for node in _bracket_nodes(element.monomial):
+                        x = expand_monomial(node.left, graph)
+                        y = expand_monomial(node.right, graph)
+                        s = 1 if x.parity() and y.parity() else -1
+                        out = bracket_expand(x, y)
+                        assert out == concat(x, y) + concat(y, x) * s
+                        assert 0 not in out.terms.values()
+                        assert all(h.graph is graph for h in out.terms)
+                        checked += 1
+        assert checked > 100, graph
+
+
+def test_operands_over_two_graphs_are_refused(p4):
+    """One adjacency with two psi is two graphs: no product mixes them.
+
+    The bracket sums products by standard word, which does not name the
+    graph, so without the check it would return a polynomial over the
+    first operand's graph.
+    """
+    g, h = (Supergraph(p4.names, p4.edges, psi=psi) for psi in ([1], [0, 2]))
+    calls = [lambda: bracket_expand(HeapPolynomial.generator(g, "2"),
+                                    HeapPolynomial.generator(h, "3")),
+             lambda: signed_superpose(single(g, "2"), single(h, "3")),
+             lambda: superpose(single(g, "2"), single(h, "3"))]
+    for call in calls:
+        with pytest.raises(InputError, match="needs a common supergraph"):
+            call()
 
 
 def test_heap_polynomial_keeps_no_zero_coefficients(path6):
