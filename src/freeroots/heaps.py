@@ -6,9 +6,11 @@ on one below it.  Heaps are the commutation classes of words; a heap is
 identified by its standard word, and its pieces are computed from the word
 only when read.  One insertion rule builds every word: a letter laid on top
 moves left over the letters it commutes with, and stops before the first
-of those that ranks below it.  It gives the heap of a word, the product of
-two heaps, with the crossings that sign a super product, and the word in
-the order that makes a base least.
+of those smaller than it.  Letters compare as integers, so an order is a
+``zeta``: the graph's, or one relabelled so that a base is letter 0, which
+only :func:`_base_order` builds.  The rule gives the heap of a word, the
+product of two heaps, with the crossings that sign a super product, and,
+over a relabelled ``zeta``, the word in the order that makes a base least.
 
 The total order on heaps compares standard words (the lexicographically
 greatest linearization, shorter words preceding their extensions), and the
@@ -137,28 +139,30 @@ def _intern(graph: Supergraph, word: tuple) -> Heap:
 _DROP_ORDER = operator.itemgetter(1, 0)  # (level, position): the order of Heap.pieces
 
 
-def _insert(graph: Supergraph, word, letters, rank) -> tuple[tuple[int, ...], int]:
+def _insert(zeta, word, letters) -> tuple[tuple[int, ...], int]:
     """Lay ``letters`` in turn on the heap of ``word``; its word and crossings.
 
-    Words are greatest in their class when positions compare by ``rank``.
-    A letter b laid on top is maximal, so the greedy linearization (take
-    the greatest minimal piece) takes the old letters in their order, and
-    b as soon as every letter it does not commute with is taken and the
-    next old letter ranks below b.  Bit ``b * n + x`` of the crossings
-    records that the letters b passed an odd number of letters x.
+    Letters ``0..n-1`` compare as integers and ``zeta[a]`` masks those that
+    do not commute with a: the graph's ``zeta``, or one relabelled by
+    :func:`_base_order`.  Words are greatest in their class.  A letter b
+    laid on top is maximal, so the greedy linearization (take the greatest
+    minimal piece) takes the old letters in their order, and b as soon as
+    every letter it does not commute with is taken and the next old letter
+    is smaller than b.  Bit ``b * n + x`` of the crossings records that the
+    letters b passed an odd number of letters x.
     """
-    zeta, n = graph.zeta, graph.n
+    n = len(zeta)
     out = list(word)
     crossings = 0
     for b in letters:
-        zb, rb = zeta[b], rank[b]
+        zb = zeta[b]
         at = i = len(out)
         seen = passed = 0  # the letters from i on, and from at on, as parities
         while i and not zb >> out[i - 1] & 1:
             i -= 1
             x = out[i]
             seen ^= 1 << x
-            if rank[x] < rb:
+            if x < b:
                 at, passed = i, seen
         out.insert(at, b)
         crossings ^= passed << b * n
@@ -167,7 +171,7 @@ def _insert(graph: Supergraph, word, letters, rank) -> tuple[tuple[int, ...], in
 
 def heap_from_word(graph: Supergraph, letters) -> Heap:
     """The heap of a word; commuting words give the same heap."""
-    word, _ = _insert(graph, (), map(graph.index, letters), range(graph.n))
+    word, _ = _insert(graph.zeta, (), map(graph.index, letters))
     return _intern(graph, word)
 
 
@@ -175,10 +179,6 @@ def heap_from_pieces(graph: Supergraph, pieces) -> Heap:
     """Re-canonicalize an arbitrary collection of pieces (levels recomputed)."""
     ordered = sorted(pieces, key=_DROP_ORDER)
     return heap_from_word(graph, (p for p, _ in ordered))
-
-
-def empty_heap(graph: Supergraph) -> Heap:
-    return _intern(graph, ())
 
 
 def single(graph: Supergraph, v) -> Heap:
@@ -189,7 +189,7 @@ def single(graph: Supergraph, v) -> Heap:
 def _superpose_plain(graph: Supergraph, left: tuple, right: tuple) -> tuple[tuple, int]:
     """The words' product and crossings over a plain graph, for every psi;
     the one product cache, read over the plain twin of the factors' graph."""
-    return _insert(graph, left, right, range(graph.n))
+    return _insert(graph.zeta, left, right)
 
 
 def _common_graph(left, right) -> Supergraph:
@@ -215,15 +215,17 @@ def standard_word(heap: Heap) -> tuple[int, ...]:
     return heap._word
 
 
-def _base_least(graph: Supergraph, base: int) -> list[int]:
-    """The rank of each position in the order that makes ``base`` least: a permutation."""
-    return [0 if p == base else p + (p < base) for p in range(graph.n)]
+def _base_order(graph: Supergraph, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The order that makes position ``base`` least, as letters ``0..n-1``:
+    the position of each letter, and ``zeta`` relabelled to those letters."""
+    position = (base, *(p for p in range(graph.n) if p != base))
+    return position, tuple(sum((graph.zeta[p] >> q & 1) << a for a, q in enumerate(position))
+                            for p in position)
 
 
-def _base_first_word(heap: Heap, base: int) -> tuple[int, ...]:
-    """The standard word in the order that makes position ``base`` least,
-    as a tuple of the graph's positions; not cached."""
-    return _insert(heap.graph, (), heap._word, _base_least(heap.graph, base))[0]
+def _base_first_word(heap: Heap, position, zeta) -> tuple[int, ...]:
+    """The standard word in a :func:`_base_order`, over its letters; not cached."""
+    return _insert(zeta, (), map(position.index, heap._word))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +273,6 @@ def enumerate_heaps(graph: Supergraph, k) -> tuple[Heap, ...]:
     """All heaps of weight exactly ``k``, ascending in the heap order."""
     k = check_weight(graph, k)
     return tuple(_intern(graph, word) for word in _enumerate_plain(plain(graph), k))
-
-
-def _heaps_with_words(graph: Supergraph, k, base: int) -> list[tuple[Heap, tuple]]:
-    """The heaps of weight k with their words in the order that makes
-    ``base`` least, sorted by those words in that order."""
-    rank = _base_least(graph, base)
-    found = [(heap, _base_first_word(heap, base)) for heap in enumerate_heaps(graph, k)]
-    return sorted(found, key=lambda pair: [rank[p] for p in pair[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +441,15 @@ def is_pyramid(heap: Heap) -> bool:
     return bool(ps) and (len(ps) == 1 or ps[1][1] > 0)
 
 
-def is_super_letter(heap: Heap, base: int = 0) -> bool:
-    """A single minimal piece, on position ``base``, which the heap uses once.
+def is_super_letter(heap: Heap, base=0) -> bool:
+    """A single minimal piece, on the ``base`` vertex (a name or a position),
+    which the heap uses once.
 
     At base 0 the same as ``classify(heap).super_letter`` (false for the
     empty heap), without the primitivity and Lyndon tests.
     """
-    return is_pyramid(heap) and heap.pieces[0][0] == base and heap.weight()[base] == 1
+    b = heap.graph.index(base)
+    return is_pyramid(heap) and heap.pieces[0][0] == b and heap.weight()[b] == 1
 
 
 def classify(heap: Heap) -> HeapClasses:
@@ -490,15 +486,18 @@ def super_letter_factors(heap: Heap, base=None) -> tuple[Heap, ...]:
     is a down-set, so each piece is a pyramid on the base that uses it once.
     """
     b = 0 if base is None else heap.graph.index(base)
-    return _cut_super_letters(heap, _base_first_word(heap, b), b)
+    position, zeta = _base_order(heap.graph, b)
+    return _cut_super_letters(heap, _base_first_word(heap, position, zeta), position)
 
 
-def _cut_super_letters(heap: Heap, word, b: int) -> tuple[Heap, ...]:
-    """:func:`super_letter_factors` of ``heap`` from its base-first ``word``."""
-    cuts = [i for i, p in enumerate(word) if p == b]
+def _cut_super_letters(heap: Heap, word, position) -> tuple[Heap, ...]:
+    """:func:`super_letter_factors` of ``heap`` from its ``word`` in a
+    :func:`_base_order`, whose letter 0 is the base."""
+    cuts = [i for i, a in enumerate(word) if not a]
     if not cuts:
         raise InputError("no piece on the base vertex")
     if cuts[0]:
         raise InputError(f"{heap!r} is not a product of super-letters")
+    word = [position[a] for a in word]
     return tuple(heap_from_word(heap.graph, word[i:j])
                  for i, j in zip(cuts, cuts[1:] + [len(word)]))

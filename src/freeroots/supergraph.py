@@ -152,9 +152,6 @@ class Supergraph:
         return (f"Supergraph({list(self.names)}, edges={sorted(self.edges)}, "
                 f"psi={sorted(self.psi)})")
 
-    def is_plain(self) -> bool:
-        return not (self.psi or self.real or self.psi0)
-
 
 @functools.lru_cache(maxsize=None)
 def plain(graph: Supergraph) -> Supergraph:

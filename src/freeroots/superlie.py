@@ -31,7 +31,7 @@ from .supergraph import Supergraph, plain, check_weight
 from .heaps import (Heap, _common_graph, _intern, _superpose_plain, single, standard_word, heap_from_word,
                     enumerate_heaps, super_lyndon_heaps, is_super_letter, is_super_lyndon,
                     is_super_lyndon_word, word_standard_factorization, _standard_words,
-                    _base_least, _heaps_with_words, _cut_super_letters, _spell)
+                    _base_order, _base_first_word, _cut_super_letters, _spell)
 
 
 # A heap's standard word, read without a call: the heap order's sort key.
@@ -381,9 +381,6 @@ class GradedBasis:
     def __len__(self):
         return len(self.elements)
 
-    def monomial_strings(self) -> list[str]:
-        return [str(e.monomial) for e in self.elements]
-
     def to_json(self):
         """The basis as a JSON document."""
         return {
@@ -423,9 +420,7 @@ def super_letter_alphabet(graph: Supergraph, base, weight_cap) -> tuple[Heap, ..
     """
     weight_cap = check_weight(graph, weight_cap)
     b = graph.index(base)
-    rank = _base_least(graph, b)
-    position = [b] + [p for p in range(graph.n) if p != b]  # of each rank
-    zeta = tuple(sum(1 << rank[q] for q in graph.zeta_neighbors[p]) for p in position)
+    position, zeta = _base_order(graph, b)
     walk = _standard_words(zeta, tuple(1 if p == b else weight_cap[p] for p in position))
     subtree = takewhile(lambda node: node[0][0] == 0, islice(walk, 1, None))  # past the empty word
     letters = [heap_from_word(graph, [position[r] for r in word]) for word, _ in subtree]
@@ -449,14 +444,16 @@ def lln_basis(graph: Supergraph, k, base) -> GradedBasis:
     b = graph.index(base)
     if not k[b]:
         raise InputError(f"base vertex {graph.names[b]!r} is not in the support")
-    rank = _base_least(graph, b)
-    odd = {rank[p] for p in graph.psi}
+    position, zeta = _base_order(graph, b)
+    odd = {a for a, p in enumerate(position) if p in graph.psi}
     columns, elements = [], []
-    for heap, base_first in _heaps_with_words(graph, k, b):
+    # words identify heaps, so the sort never compares two heaps
+    for base_first, heap in sorted((_base_first_word(heap, position, zeta), heap)
+                                   for heap in enumerate_heaps(graph, k)):
         columns.append(heap)
-        if not is_super_lyndon_word(tuple(rank[p] for p in base_first), odd):
+        if not is_super_lyndon_word(base_first, odd):
             continue
-        letters = _cut_super_letters(heap, base_first, b)
+        letters = _cut_super_letters(heap, base_first, position)
         word = tuple(standard_word(l) for l in letters)
         odd_letters = {w for w, l in zip(word, letters) if l.parity()}
         if not is_super_lyndon_word(word, odd_letters):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, Supergraph, clear_caches
-from freeroots.heaps import (heap_from_word, heap_from_pieces, empty_heap,
+from freeroots.heaps import (heap_from_word, heap_from_pieces,
                              single, superpose, standard_word,
                              enumerate_heaps, classify,
                              conjugacy_class, is_primitive,
@@ -77,7 +77,7 @@ def test_unknown_vertex_rejected(p4):
 
 def test_identity(p4):
     h = heap_from_word(p4, "2314")
-    e = empty_heap(p4)
+    e = heap_from_word(p4, ())
     assert superpose(h, e) == h and superpose(e, h) == h
 
 
@@ -196,19 +196,20 @@ def assert_insertion_matches_oracles(graph, pairs, words, oracle_signs):
     product, and for every psi the parity of the crossings between odd
     letters must give the sign of rewriting st(e) st(f) into it.  In the
     order that makes each base least, laying st(f) on e's word must give
-    the product's.  ``words`` maps pieces to their greedy word for each
-    base; ``oracle_signs`` caches the signs of one rewriting for each psi
-    on the graph's vertices.  Returns the number of pairs.
+    the product's, once mapped back through the order's ``position``.
+    ``words`` maps pieces to their greedy word for each base;
+    ``oracle_signs`` caches the signs of one rewriting for each psi on the
+    graph's vertices.  Returns the number of pairs.
     """
     views = [Supergraph(graph.names, graph.edges, psi=psi) for r in range(graph.n + 1)
              for psi in itertools.combinations(range(graph.n), r)]
     masks = [odd_pairs(view) for view in views]
-    ranks = [[-1 if p == b else p for p in range(graph.n)] for b in range(graph.n)]
+    orders = [heaps._base_order(graph, b) for b in range(graph.n)]
     count = 0
     for e, f in pairs:
         u, v = words[e][0], words[f][0]
         want = words[drop(graph, e, v)]
-        word, crossings = heaps._insert(graph, u, v, range(graph.n))
+        word, crossings = heaps._insert(graph.zeta, u, v)
         assert word == want[0], (graph, u, v)
         key = (graph.n, u + v, word)
         if key not in oracle_signs:
@@ -216,21 +217,26 @@ def assert_insertion_matches_oracles(graph, pairs, words, oracle_signs):
         assert [-1 if (crossings & m).bit_count() & 1 else 1 for m in masks] == \
             oracle_signs[key], (graph, u, v)
         for b in range(1, graph.n):
-            laid, _ = heaps._insert(graph, words[e][b], v, ranks[b])
-            assert laid == want[b], (graph, u, v, b)
+            position, zeta = orders[b]
+            laid, _ = heaps._insert(zeta, map(position.index, words[e][b]),
+                                    map(position.index, v))
+            assert tuple(position[a] for a in laid) == want[b], (graph, u, v, b)
         count += 1
     return count
 
 
 def assert_words_match_oracles(graph, pieces):
     """The heap of each oracle standard word has the oracle's pieces and
-    base-first words; returns the oracle's words, keyed by pieces."""
+    base-first words, mapped back through each order's ``position``;
+    returns the oracle's words, keyed by pieces."""
+    orders = [heaps._base_order(graph, b) for b in range(graph.n)]
     words = {}
     for ps in pieces:
         words[ps] = [greedy_word(graph, ps, b) for b in range(graph.n)]
         heap = heaps.Heap(graph, words[ps][0])
         assert heap.pieces == ps
-        assert [heaps._base_first_word(heap, b) for b in range(graph.n)] == words[ps]
+        assert [tuple(position[a] for a in heaps._base_first_word(heap, position, zeta))
+                for position, zeta in orders] == words[ps]
     return words
 
 
@@ -375,10 +381,12 @@ def superposed_heaps(graph, k, base, memo):
 
 def assert_walk_matches_superposition(graph, k, memo):
     for base in support(k):
-        found = heaps._heaps_with_words(graph, k, base)
+        position, zeta = heaps._base_order(graph, base)
+        found = sorted((heaps._base_first_word(h, position, zeta), h)
+                       for h in enumerate_heaps(graph, k))  # as lln_basis sorts them
         want_pieces, want_words = superposed_heaps(graph, k, base, memo)
-        assert [h.pieces for h, _ in found] == want_pieces, (graph, k, base)
-        assert [w for _, w in found] == want_words, (graph, k, base)
+        assert [h.pieces for _, h in found] == want_pieces, (graph, k, base)
+        assert [tuple(position[a] for a in w) for w, _ in found] == want_words, (graph, k, base)
     if any(k):  # base 0 orders the heaps of every weight, whatever the support
         assert [h.pieces for h in enumerate_heaps(graph, k)] == \
             superposed_heaps(graph, k, 0, memo)[0]
@@ -422,8 +430,8 @@ def test_heaps_up_to_walk_matches_enumeration():
 
 def test_walk_on_the_empty_graph():
     g = Supergraph([])
-    assert enumerate_heaps(g, ()) == (empty_heap(g),)
-    assert heaps_up_to(g, ()) == {(): (empty_heap(g),)}
+    assert enumerate_heaps(g, ()) == (heap_from_word(g, ()),)
+    assert heaps_up_to(g, ()) == {(): (heap_from_word(g, ()),)}
     assert heaps._super_lyndon_counts(g, ()) == ((1,), (0,))
 
 
@@ -488,7 +496,7 @@ def test_square_of_letter(edge36):
 
 def test_classify_empty_rejected(p4):
     with pytest.raises(InputError):
-        classify(empty_heap(p4))
+        classify(heap_from_word(p4, ()))
 
 
 def brute_primitive(heap):
@@ -678,7 +686,7 @@ def test_super_lyndon_heaps_match_square_construction_on_random_graphs(case):
 
 
 def test_empty_heap_is_not_super_lyndon(p4_odd):
-    assert not is_super_lyndon(empty_heap(p4_odd))
+    assert not is_super_lyndon(heap_from_word(p4_odd, ()))
     assert super_lyndon_heaps(p4_odd, (0, 0, 0, 0)) == ()
 
 
@@ -807,6 +815,18 @@ def test_super_letter_flag_matches_classify():
                             minimal == [b] and sum(p == b for p, _ in ps) == 1), (h, b)
 
 
+@pytest.mark.parametrize("base, expected", [("3", True), (2, True), ("6", False), (5, False),
+                                            ("9", InputError), (6, InputError)])
+def test_is_super_letter_reads_the_base_as_a_vertex(tree6, base, expected):
+    """The base is a name or a position, as for the other super-letter calls."""
+    h = heap_from_word(tree6, "36")
+    if expected is InputError:
+        with pytest.raises(InputError):
+            is_super_letter(h, base)
+    else:
+        assert is_super_letter(h, base) is expected
+
+
 def test_super_letter_walk_matches_the_filter():
     """Every graph on <= 4 vertices and every base, under the all-2 cap and
     that cap with each other entry set to 0 in turn."""
@@ -867,7 +887,7 @@ def build_bases(path6, tree6):
 
 def test_annotated_pools_hold_their_graphs_heaps(path6, tree6):
     build_bases(path6, tree6)
-    annotated = [g for g in heaps._REGISTRY if not g.is_plain()]
+    annotated = [g for g in heaps._REGISTRY if plain(g) is not g]
     assert path6 in annotated and tree6 in annotated
     for g, pool in heaps._REGISTRY.items():
         for word, h in pool.items():  # a pool is keyed by standard words
@@ -934,9 +954,10 @@ def test_threads_building_one_heap_get_one_object(path6):
 
 def test_empty_heap_is_one_object_per_graph(path6, p4_odd):
     for g in (path6, p4_odd):
-        assert empty_heap(g) is empty_heap(g) and not empty_heap(g)
-        assert standard_word(empty_heap(g)) == standard_word(empty_heap(plain(g))) == ()
-        assert empty_heap(g) == empty_heap(g) != empty_heap(plain(g))
+        assert heap_from_word(g, ()) is heap_from_word(g, ()) and not heap_from_word(g, ())
+        assert standard_word(heap_from_word(g, ())) == \
+            standard_word(heap_from_word(plain(g), ())) == ()
+        assert heap_from_word(g, ()) == heap_from_word(g, ()) != heap_from_word(plain(g), ())
 
 
 def test_views_compare_by_graph_and_pieces(p4):

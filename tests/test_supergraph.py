@@ -284,7 +284,7 @@ def test_plain_strips_annotations(tree6):
     p = plain(tree6)
     assert p.psi == frozenset() and p.real == frozenset()
     assert p.edges == tree6.edges and p.names == tree6.names
-    assert plain(p) == p and plain(p).is_plain()
+    assert plain(p) == p and plain(plain(p)) is plain(p)
 
 
 def test_induced_support_invariance(tree6_plain):

@@ -432,7 +432,7 @@ def test_lln_basis_tree(tree6):
     assert len(basis) == 3
     # two-vertex support: identical to the Lyndon-heaps monomials
     lyndon = lyndon_heap_basis(tree6, (0, 0, 3, 0, 0, 3))
-    assert basis.monomial_strings() == lyndon.monomial_strings()
+    assert [str(e.monomial) for e in basis.elements] == [str(e.monomial) for e in lyndon.elements]
 
 
 def test_lln_single_vertex_weight(tree6):
@@ -502,7 +502,8 @@ def test_lln_basis_matches_the_relabelled_graph():
                 ref = lln_basis(ref_graph, tuple(k[p] for p in back), base)
                 assert got.graph is g and got.weight == k
                 assert [e.word() for e in got.elements] == [e.word() for e in ref.elements]
-                assert got.monomial_strings() == ref.monomial_strings()
+                assert [str(e.monomial) for e in got.elements] == \
+                    [str(e.monomial) for e in ref.elements]
                 assert [[l.word() for l in e.letters] for e in got.elements] == \
                     [[l.word() for l in e.letters] for e in ref.elements]
                 assert got.certificate == ref.certificate
