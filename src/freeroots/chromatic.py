@@ -4,7 +4,8 @@ The multicoloring count where vertex i receives k_i colours and neighbours
 get disjoint sets is an integer-valued polynomial in the number of colours
 q.  Each route computes its integer coefficients c_m in the binomial basis
 C(q, m): directly, as counts of ordered m-tuples of independent sets; by the
-clique-join graph, as m! times its partitions into m independent blocks; by
+clique-join graph, as m! times its partitions into m independent blocks,
+taken from the same independent-set walk in ``supergraph``; by
 the bond-lattice expansion, whose coefficients are root multiplicities, as
 forward differences of its values at q = 0..ht(k).  Only ``_from_binomial``
 builds a polynomial, for output: one integer conversion to the monomial
@@ -28,8 +29,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, ht, \
-    weight_parity, independent_sets, join_graph, _is_connected, \
-    is_free_weight, weights_up_to
+    weight_parity, join_graph, _is_connected, is_free_weight, weights_up_to, \
+    _independent_walk, _nonempty_independent_sets
 
 
 class RationalPoly:
@@ -173,45 +174,25 @@ def _partition_counts(graph: Supergraph) -> tuple[int, ...]:
     pi(q) = sum_m p_m q(q-1)...(q-m+1) = sum_m m! p_m C(q, m), where p_m
     counts partitions of the vertex set into m nonempty independent blocks;
     pinning the least remaining vertex in each block avoids double counting.
+    The blocks that hold it come from the independent-set walk over its
+    non-neighbours.
     """
-    n = graph.n
-    adj = graph.adj
-    full = (1 << n) - 1
 
     @functools.lru_cache(maxsize=None)
     def parts(mask: int) -> tuple[int, ...]:
         """parts(mask)[m] = number of partitions of mask into m blocks."""
         if mask == 0:
             return (1,)
-        low = (mask & -mask).bit_length() - 1
-        rest_mask = mask & ~(1 << low)
-        acc = [0] * (bin(mask).count("1") + 1)
-        # independent subsets of rest_mask avoiding neighbours of the block
-        members = [i for i in range(n) if rest_mask >> i & 1]
-
-        def grow(block: int, banned: int, candidates: list[int]):
-            sub = parts(mask & ~block)
-            for m, cnt in enumerate(sub):
+        low = mask & -mask
+        rest = mask ^ low
+        free = rest & ~graph.adj[low.bit_length() - 1]
+        acc = [0] * (mask.bit_count() + 1)
+        for _, block in _independent_walk(graph, [v for v in range(graph.n) if free >> v & 1]):
+            for m, cnt in enumerate(parts(rest & ~block)):
                 acc[m + 1] += cnt
-            for idx, v in enumerate(candidates):
-                if banned >> v & 1:
-                    continue
-                grow(block | (1 << v), banned | adj[v], candidates[idx + 1:])
-
-        grow(1 << low, adj[low], members)
         return tuple(acc)
 
-    return tuple(cnt * math.factorial(m) for m, cnt in enumerate(parts(full)))
-
-
-@functools.lru_cache(maxsize=None)
-def _nonempty_independent_sets(graph: Supergraph,
-                               sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The nonempty independent subsets of a support as 0/1 weight steps,
-    listed once per support; the last is the support itself when it is
-    independent."""
-    return tuple(tuple(int(v in sub) for v in range(graph.n))
-                 for sub in independent_sets(graph, sup)[1:])
+    return tuple(cnt * math.factorial(m) for m, cnt in enumerate(parts((1 << graph.n) - 1)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import InputError, ConsistencyError
 from .supergraph import Supergraph, plain, check_weight, support, ht, \
     weight_parity, weight_gcd, divide_weight, _is_free, _is_connected, \
-    independent_sets, weights_up_to
+    weights_up_to, _nonempty_independent_sets
 # enumerate_heaps stays bound here: perfbench/selftest.py checks that tracing wraps it
 from .heaps import enumerate_heaps, _super_lyndon_counts  # noqa: F401
 from .chromatic import _log_count
@@ -232,9 +232,9 @@ def verify_cartier_foata(graph: Supergraph, cap) -> SeriesReport:
     cap = check_weight(graph, cap)
     heaps, _ = _super_lyndon_counts(graph, cap)
     product = [0] * len(heaps)
-    for sub in independent_sets(graph, support(cap)):
-        box = _above(cap, [int(i in sub) for i in range(graph.n)])
-        sign, cw = (-1) ** len(sub), box[-1][0]  # the least v >= w is w
+    for step in ((0,) * graph.n, *_nonempty_independent_sets(plain(graph), support(cap))):
+        box = _above(cap, step)
+        sign, cw = (-1) ** ht(step), box[-1][0]  # the least v >= w is w
         for v, _ in box:
             product[v] += sign * heaps[v - cw]
     unit = [1] + [0] * (len(heaps) - 1)

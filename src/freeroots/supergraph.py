@@ -14,6 +14,10 @@ object and compare by identity.  The table of live graphs is weak, so a
 graph nothing refers to is freed as usual.
 
 Weights are plain tuples of non-negative integers in vertex order.
+
+One walk finds the independent vertex sets: ``independent_sets`` sorts
+them, the chromatic counts and the Cartier-Foata check read them per
+support as cached 0/1 steps, and the join route takes its blocks from it.
 """
 
 from __future__ import annotations
@@ -247,27 +251,38 @@ def _is_connected(graph: Supergraph, k: tuple[int, ...]) -> bool:
     return seen == mask
 
 
+def _independent_walk(graph: Supergraph, verts) -> list[tuple[tuple[int, ...], int]]:
+    """(positions, bitmask) of every independent subset of ``verts``: each
+    vertex in turn joins every set found so far that holds none of its
+    neighbours.  The empty set comes first, all of ``verts`` last when it
+    is independent."""
+    found = [((), 0)]
+    for v in verts:
+        bit, near = 1 << v, graph.adj[v]
+        found += [(sub + (v,), mask | bit) for sub, mask in found if not near & mask]
+    return found
+
+
 def independent_sets(graph: Supergraph, restrict=None) -> list[tuple[int, ...]]:
     """Every subset of ``restrict`` spanning no edge, the empty set included.
 
-    A vertex named twice in ``restrict`` counts once.  Deterministic
-    order: by size, then lexicographically.
+    A vertex named twice in ``restrict`` counts once; a string is refused,
+    not read as its characters.  Deterministic order: by size, then
+    lexicographically.
     """
-    if restrict is None:
-        verts = list(range(graph.n))
-    else:
-        verts = sorted({graph.index(v) for v in restrict})
-    out = [()]
-    for r in range(1, len(verts) + 1):
-        for sub in itertools.combinations(verts, r):
-            ok = True
-            for a, b in itertools.combinations(sub, 2):
-                if graph.has_edge(a, b):
-                    ok = False
-                    break
-            if ok:
-                out.append(sub)
-    return out
+    verts = range(graph.n) if restrict is None else \
+        sorted(_vertex_set(graph._index, restrict, "restrict"))
+    return sorted(sorted(sub for sub, _ in _independent_walk(graph, verts)), key=len)
+
+
+@functools.lru_cache(maxsize=None)
+def _nonempty_independent_sets(graph: Supergraph,
+                               sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The nonempty independent subsets of a support as 0/1 weight steps,
+    listed once per support; the last is the support itself when it is
+    independent."""
+    return tuple(tuple(int(v in sub) for v in range(graph.n))
+                 for sub in independent_sets(graph, sup)[1:])
 
 
 def join_graph(graph: Supergraph, k) -> Supergraph:

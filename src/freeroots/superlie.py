@@ -118,9 +118,11 @@ class HeapPolynomial:
     __slots__ = ("graph", "terms")
 
     def __init__(self, graph: Supergraph, terms=None):
-        """``terms`` maps heaps to coefficients; zero coefficients are dropped."""
+        """``terms`` maps heaps over ``graph`` to coefficients; zeros are dropped."""
         self.graph = graph
         self.terms = {h: c for h, c in terms.items() if c} if terms else {}
+        if not all(type(h) is Heap and h.graph is graph for h in terms or ()):
+            raise InputError("a heap polynomial holds only heaps over its own graph")
 
     @classmethod
     def generator(cls, graph: Supergraph, v) -> "HeapPolynomial":

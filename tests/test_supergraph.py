@@ -16,9 +16,11 @@ from freeroots import (Supergraph, BkmSupermatrix, InputError,
                        independent_sets, graph_from_document, parse_weight,
                        enumerate_heaps, mult_free_root)
 from freeroots import clear_caches, supergraph
-from freeroots.supergraph import plain, weights_up_to, support, ht
+from freeroots.supergraph import plain, weights_up_to, support, ht, \
+    _nonempty_independent_sets
 from conftest import MALFORMED_DOCUMENTS
 from heap_oracles import relabel
+from test_chromatic import graphs_up_to_4_and_samples
 
 
 def test_duplicate_vertex_names_rejected():
@@ -196,6 +198,39 @@ def test_independent_sets_counts_a_repeated_vertex_once():
     assert independent_sets(g, ["a", "a"]) == [(), (0,)]
     assert independent_sets(g, ["a", 0]) == [(), (0,)]
     assert independent_sets(g, ["b", "a", "b"]) == [(), (0,), (1,)]
+
+
+def test_independent_sets_read_restrict_as_a_vertex_collection():
+    h = Supergraph(["ab", "c"], [("ab", "c")])
+    assert independent_sets(h, ["ab"]) == [(), (0,)]
+    assert independent_sets(h, ["c", "ab", "c"]) == [(), (0,), (1,)]
+    with pytest.raises(InputError, match="the string 'ab'"):
+        independent_sets(h, "ab")
+    with pytest.raises(InputError, match="must be iterable"):
+        independent_sets(h, 5)
+
+
+def pairwise_independent_sets(graph, verts):
+    """The oracle: every subset of ``verts`` by size, then lexicographically,
+    kept when no pair of its vertices is an edge."""
+    return [sub for r in range(len(verts) + 1) for sub in itertools.combinations(verts, r)
+            if not any(graph.has_edge(a, b) for a, b in itertools.combinations(sub, 2))]
+
+
+def test_independent_set_walk_matches_the_pairwise_scan():
+    for graph in graphs_up_to_4_and_samples():
+        assert independent_sets(graph) == pairwise_independent_sets(graph, range(graph.n))
+        for r in range(graph.n + 1):
+            for sup in itertools.combinations(range(graph.n), r):
+                expected = pairwise_independent_sets(graph, sup)
+                names = [graph.names[v] for v in sup]
+                assert independent_sets(graph, sup) == expected
+                assert independent_sets(graph, names[::-1] + names[:1]) == expected
+                steps = _nonempty_independent_sets(graph, sup)
+                assert steps == tuple(tuple(int(v in sub) for v in range(graph.n))
+                                      for sub in expected[1:])
+                if sup and expected[-1] == sup:
+                    assert steps[-1] == tuple(int(v in sup) for v in range(graph.n))
 
 
 def test_independent_sets_p4_brute(p4):

@@ -218,6 +218,30 @@ def test_operands_over_two_graphs_are_refused(p4):
             call()
 
 
+def test_heap_polynomial_refuses_a_heap_over_another_graph_on_the_same_names():
+    """Unchecked, bracketing a with bc over the b-c edge gave 1*bca + -1*cab
+    over the a-b edge, where bca is not a standard word."""
+    first = Supergraph("abc", [("a", "b")], psi=["a"])
+    second = Supergraph("abc", [("b", "c")], psi=["a"])
+    foreign = heap_from_word(second, "bc")
+    with pytest.raises(InputError, match="heaps over its own graph"):
+        HeapPolynomial(first, {foreign: 1})
+    a = HeapPolynomial.generator(first, "a")
+    for call in (lambda: a + HeapPolynomial(second, {foreign: 1}),
+                 lambda: a - HeapPolynomial(second, {foreign: 1})):
+        with pytest.raises(InputError):
+            call()
+
+
+def test_heap_polynomial_refuses_a_heap_over_a_larger_graph(path6):
+    """Unchecked, a path6 heap in a 3-vertex polynomial raised a bare IndexError."""
+    small = Supergraph("abc")
+    for terms in ({heap_from_word(path6, "654"): 1}, {heap_from_word(path6, "6"): 0},
+                  {"a": 1}):
+        with pytest.raises(InputError, match="heaps over its own graph"):
+            HeapPolynomial(small, terms)
+
+
 def test_heap_polynomial_keeps_no_zero_coefficients(path6):
     h3, h4 = single(path6, "3"), single(path6, "4")
     assert HeapPolynomial(path6, {h3: 0, h4: 2}).terms == {h4: 2}
