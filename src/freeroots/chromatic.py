@@ -16,7 +16,10 @@ The multiplicities need only the coefficient of q, which is [x^k] log I(G, x)
 for the independence polynomial I.  ``_log_count`` gives it as one integer
 per weight, M_k = ht(k) [x^k] log I(G, x), by a recursion over the same
 independent sets, with no tuple counts; ``linear_coefficient`` is
-M_k / ht(k).
+M_k / ht(k).  It packs each weight into one integer, so a step is one
+subtraction and a memo lookup hashes an int, and it walks an explicit
+stack, so it has no height limit.  The tuple counts, the join partitions
+and ``bond_lattice`` still recurse once per unit of height.
 """
 
 from __future__ import annotations
@@ -213,22 +216,77 @@ def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _log_table(graph: Supergraph, width: int) -> tuple[dict, dict, int]:
+    """The state ``_log_count`` keeps for weights packed ``width`` bits a
+    vertex: M by packed weight, holding M_0 = 0; the packed nonempty
+    independent steps by packed support, filled on first use; and ``low``,
+    whose bit width*v is set for every vertex v."""
+    return {0: 0}, {}, sum(1 << width * v for v in range(graph.n))
+
+
+@functools.lru_cache(maxsize=None)
 def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
     """M_k = ht(k) [x^k] log I(G, x), for a checked weight, I being the
-    independence polynomial; memoized on the remaining weight.
+    independence polynomial.
 
     Euler's operator turns I = exp(log I) into I * D(log I) = D(I), whose
     coefficient at k reads M_k = ht(k) [k is a 0/1 independent set] minus
     the sum of M_(k-S) over the nonempty independent S in supp(k); M_0 = 0.
+
+    A weight is one integer, entry v in the ``width`` bits from width*v on,
+    with width = max(k).bit_length(); a step S is the integer with bit
+    width*v set for each v in S.  S <= k entry by entry, so k - S is one
+    subtraction with no borrow, and a weight's support is the low bit of
+    each nonzero entry.  An explicit stack of partial sums replaces the
+    recursion, so the depth of Python calls does not grow with ht(k).
     """
     if not any(k):
         return 0
-    steps = _nonempty_independent_sets(graph, support(k))
-    # k is a 0/1 independent set exactly when it is the last step
-    total = ht(k) if steps[-1] == k else 0
-    for step in steps:
-        total -= _log_count(graph, tuple(map(operator.sub, k, step)))
-    return total
+    width = max(k).bit_length()
+    memo, steps_at, low = _log_table(graph, width)
+    x = 0
+    for entry in reversed(k):
+        x = x << width | entry
+    total = memo.get(x)
+    if total is not None:
+        return total
+    get = memo.get
+    shifts = range(1, width)
+    stack = []  # (weight, its steps, the pending step's index, the running sum)
+    y = x
+    while True:
+        spread = y
+        for s in shifts:
+            spread |= y >> s
+        spread &= low
+        steps = steps_at.get(spread)
+        if steps is None:
+            verts = [v for v in range(graph.n) if spread >> width * v & 1]
+            steps = steps_at[spread] = [sum(1 << width * v for v in sub) for sub, _
+                                        in _independent_walk(graph, verts)[1:]]
+        # y is a 0/1 independent set exactly when it is the last step
+        total = spread.bit_count() if steps[-1] == y else 0
+        i = 0
+        while True:
+            for i in range(i, len(steps)):
+                child = y - steps[i]
+                value = get(child)
+                if value is None:
+                    break
+                total -= value
+            else:
+                memo[y] = total
+                if not stack:
+                    return total
+                # y was its parent's pending child: take its value, step past it
+                value = total
+                y, steps, i, total = stack.pop()
+                total -= value
+                i += 1
+                continue
+            stack.append((y, steps, i, total))
+            y = child
+            break
 
 
 def linear_coefficient(graph: Supergraph, k) -> Fraction:

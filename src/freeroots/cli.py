@@ -403,7 +403,8 @@ def main(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The memoized kernels recurse once per unit of height.
+        # The tuple counts, bond_lattice and the join partitions recurse
+        # once per unit of height; the multiplicity kernel does not.
         print("error: the weight is too tall: maximum recursion depth exceeded",
               file=sys.stderr)
         return 1

@@ -4,6 +4,8 @@ The dimension of a free root space is recovered from the linear
 coefficients of k-chromatic polynomials.  The coefficient of q at k is
 M_k / ht(k), where the integer M_k = ht(k) [x^k] log I(G, x) comes from
 ``chromatic._log_count``, so no polynomial and no tuple count is built.
+That kernel works on weights packed into integers and keeps its own
+stack, so a multiplicity has no height limit.
 Both methods are integer sums over the divisors l of gcd(k), divided once
 by ht(k):
 

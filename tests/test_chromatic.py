@@ -1,6 +1,8 @@
 import collections
+import functools
 import itertools
 import math
+import operator
 import os
 import random
 
@@ -8,16 +10,16 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from freeroots import InputError, Supergraph
+from freeroots import InputError, Supergraph, clear_caches
 from freeroots.chromatic import (RationalPoly, k_chromatic_direct, k_chromatic_join,
                                  k_chromatic_bond, bond_lattice,
                                  linear_coefficient, _nonempty_independent_sets,
                                  _choose, _from_binomial, _tuple_counts,
-                                 _join_counts, _bond_counts)
+                                 _join_counts, _bond_counts, _log_count)
 from freeroots.multiplicity import mult_free_root
 from freeroots.supergraph import (ht, is_connected_support, is_free_weight,
                                   support, independent_sets, load_graph, plain,
-                                  weight_parity)
+                                  weight_parity, weights_up_to)
 
 from conftest import fraction_binomial, fraction_product
 
@@ -255,6 +257,40 @@ def test_linear_coefficient_vanishes_on_the_zero_weight():
     for graph in graphs_up_to_4_and_samples():
         got = linear_coefficient(graph, (0,) * graph.n)
         assert got == 0 and type(got) is Fraction
+
+
+@functools.lru_cache(maxsize=None)
+def tuple_log_count(graph, k):
+    """M_k by recursion on weight tuples, one cached call per sub-weight:
+    the definition the packed kernel is checked against."""
+    if not any(k):
+        return 0
+    steps = _nonempty_independent_sets(graph, support(k))
+    total = ht(k) if steps[-1] == k else 0
+    for step in steps:
+        total -= tuple_log_count(graph, tuple(map(operator.sub, k, step)))
+    return total
+
+
+def test_packed_log_count_matches_the_tuple_recursion():
+    """Every weight under cap 2 mixes widths 1 and 2 in one sweep."""
+    clear_caches()
+    for graph in graphs_up_to_4_and_samples():
+        twin = plain(graph)
+        for k in weights_up_to((2,) * twin.n):
+            assert _log_count(twin, k) == tuple_log_count(twin, k), (graph, k)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["narrow-first", "wide-first"])
+def test_packed_log_count_keeps_each_width_apart(tree6, order):
+    """Largest entries 1, 2, 3, 4, 7 and 8 pack at widths 1 to 4 over one
+    graph, so every width's table meets the others in both orders."""
+    twin = plain(tree6)
+    weights = [(1, 0, 1, 1, 0, 1), (2, 1, 0, 1, 1, 0), (0, 3, 1, 2, 0, 1),
+               (4, 1, 2, 0, 1, 1), (1, 2, 7, 0, 0, 3), (8, 3, 0, 1, 2, 0)]
+    clear_caches()
+    for k in weights[::order]:
+        assert _log_count(twin, k) == tuple_log_count(twin, k), k
 
 
 def test_linear_coefficient_checks_its_weight(p4):

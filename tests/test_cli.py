@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -312,7 +314,7 @@ def test_verify_all_fails_route_agreement_on_a_shifted_log_count(
     assert failed == {"dimension agreement", "chromatic route agreement"}, failed
 
 
-@pytest.mark.parametrize("command", ["mult", "chromatic"])
+@pytest.mark.parametrize("command", ["chromatic"])
 def test_tall_weight_is_one_error_line(command, tree6_file, capsys, fresh_caches):
     """Past the recursion limit a command fails with one line, no traceback.
 
@@ -323,6 +325,22 @@ def test_tall_weight_is_one_error_line(command, tree6_file, capsys, fresh_caches
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: the weight is too tall: maximum recursion depth exceeded\n"
+
+
+def test_mult_at_a_tall_weight_is_the_table_row(tree6_file, capsys, fresh_caches):
+    """The multiplicity kernel keeps its own stack, so a tall weight asked
+    for cold succeeds.  On the single edge {3, 6}, I = 1 + x_3 + x_6 and
+    |M_(a,b)| = C(a+b, a), so the linear coefficient is C(500, 250) / 500."""
+    weight = [0, 0, 250, 0, 0, 250]
+    code, doc = run_json(capsys, ["mult", "--graph", tree6_file,
+                                  "--weight", ",".join(map(str, weight))])
+    assert code == 0
+    record = doc["result"]
+    assert Fraction(record["linear_coeff"]) == Fraction(math.comb(500, 250), 500)
+    code, table = run_json(capsys, ["mult", "table", "--graph", tree6_file,
+                                    "--cap", ",".join(map(str, weight))])
+    assert code == 0
+    assert [e for e in table["result"]["entries"] if e["weight"] == weight] == [record]
 
 
 def test_seed_rejected(tree6_file, capsys):
