@@ -247,10 +247,10 @@ def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
     x = 0
     for entry in reversed(k):
         x = x << width | entry
-    total = memo.get(x)
+    get = memo.get
+    total = get(x)
     if total is not None:
         return total
-    get = memo.get
     shifts = range(1, width)
     stack = []  # (weight, its steps, the pending step's index, the running sum)
     y = x

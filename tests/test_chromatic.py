@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from freeroots import InputError, Supergraph, clear_caches
+from freeroots import InputError, Supergraph
 from freeroots.chromatic import (RationalPoly, k_chromatic_direct, k_chromatic_join,
                                  k_chromatic_bond, bond_lattice,
                                  linear_coefficient, _nonempty_independent_sets,
@@ -272,9 +272,8 @@ def tuple_log_count(graph, k):
     return total
 
 
-def test_packed_log_count_matches_the_tuple_recursion():
+def test_packed_log_count_matches_the_tuple_recursion(fresh_caches):
     """Every weight under cap 2 mixes widths 1 and 2 in one sweep."""
-    clear_caches()
     for graph in graphs_up_to_4_and_samples():
         twin = plain(graph)
         for k in weights_up_to((2,) * twin.n):
@@ -282,13 +281,12 @@ def test_packed_log_count_matches_the_tuple_recursion():
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["narrow-first", "wide-first"])
-def test_packed_log_count_keeps_each_width_apart(tree6, order):
+def test_packed_log_count_keeps_each_width_apart(tree6, order, fresh_caches):
     """Largest entries 1, 2, 3, 4, 7 and 8 pack at widths 1 to 4 over one
     graph, so every width's table meets the others in both orders."""
     twin = plain(tree6)
     weights = [(1, 0, 1, 1, 0, 1), (2, 1, 0, 1, 1, 0), (0, 3, 1, 2, 0, 1),
                (4, 1, 2, 0, 1, 1), (1, 2, 7, 0, 0, 3), (8, 3, 0, 1, 2, 0)]
-    clear_caches()
     for k in weights[::order]:
         assert _log_count(twin, k) == tuple_log_count(twin, k), k
 
