@@ -18,8 +18,9 @@ per weight, M_k = ht(k) [x^k] log I(G, x), by a recursion over the same
 independent sets, with no tuple counts; ``linear_coefficient`` is
 M_k / ht(k).  It packs each weight into one integer, so a step is one
 subtraction and a memo lookup hashes an int, and it walks an explicit
-stack, so it has no height limit.  The tuple counts, the join partitions
-and ``bond_lattice`` still recurse once per unit of height.
+stack, so it has no height limit.  Its packed memo, one per width, is the
+only store of M.  The tuple counts, the join partitions and
+``bond_lattice`` still recurse once per unit of height.
 """
 
 from __future__ import annotations
@@ -224,7 +225,6 @@ def _log_table(graph: Supergraph, width: int) -> tuple[dict, dict, int]:
     return {0: 0}, {}, sum(1 << width * v for v in range(graph.n))
 
 
-@functools.lru_cache(maxsize=None)
 def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
     """M_k = ht(k) [x^k] log I(G, x), for a checked weight, I being the
     independence polynomial.
@@ -239,6 +239,7 @@ def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
     subtraction with no borrow, and a weight's support is the low bit of
     each nonzero entry.  An explicit stack of partial sums replaces the
     recursion, so the depth of Python calls does not grow with ht(k).
+    The memo in ``_log_table`` is the only store of M.
     """
     if not any(k):
         return 0

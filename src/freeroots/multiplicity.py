@@ -7,7 +7,9 @@ M_k / ht(k), where the integer M_k = ht(k) [x^k] log I(G, x) comes from
 That kernel works on weights packed into integers and keeps its own
 stack, so a multiplicity has no height limit.
 Both methods are integer sums over the divisors l of gcd(k), divided once
-by ht(k):
+by ht(k).  One cached triple per weight, (recursion, closed form, |M_k|),
+feeds both: it reads |M_k| once and takes each k/l's values from k/l's
+own triple, since k/l has the same support as k.
 
 * ``closed_form`` is the plain Moebius sum sum_l mu(l) |M_{k/l}| / ht(k),
   with no sign pattern: every l dividing an odd weight is odd, since l
@@ -63,32 +65,25 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _magnitude(graph: Supergraph, k: tuple[int, ...]) -> int:
-    """|M_k| = ht(k) |coefficient of q|, for a weight already checked."""
-    return abs(_log_count(plain(graph), k))
-
-
 @functools.lru_cache(maxsize=None)
-def _mult_recursion(graph: Supergraph, k: tuple[int, ...]) -> int:
-    total = _magnitude(graph, k)
+def _mults(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, int | Fraction, int]:
+    """(recursion, closed form, |M_k|) at a checked free weight of connected
+    support; each k/l has k's support, so its own triple serves both sums."""
+    magnitude = abs(_log_count(plain(graph), k))
+    rec_total = closed_total = magnitude
     for l in divisors(weight_gcd(k))[1:]:
         sub = divide_weight(k, l)
+        sub_rec, _, sub_magnitude = _mults(graph, sub)
         # s_l = (-1)^(l+1) for an odd sub-weight, 1 for an even one
         sign = (-1) ** ((l + 1) * weight_parity(graph, sub))
-        total -= sign * ht(sub) * _mult_recursion(graph, sub)
-    mult, remainder = divmod(total, ht(k))
-    if remainder or mult < 0:
+        rec_total -= sign * ht(sub) * sub_rec
+        closed_total += moebius(l) * sub_magnitude
+    rec, remainder = divmod(rec_total, ht(k))
+    if remainder or rec < 0:
         raise ConsistencyError(
-            f"multiplicity recursion gave {Fraction(total, ht(k))} at weight {k}")
-    return mult
-
-
-def _mult_closed_form(graph: Supergraph, k: tuple[int, ...]) -> int | Fraction:
-    """The Moebius sum, as an int when it is integral."""
-    total = sum(moebius(l) * _magnitude(graph, divide_weight(k, l))
-                for l in divisors(weight_gcd(k)))
-    mult, remainder = divmod(total, ht(k))
-    return Fraction(total, ht(k)) if remainder else mult
+            f"multiplicity recursion gave {Fraction(rec_total, ht(k))} at weight {k}")
+    closed, remainder = divmod(closed_total, ht(k))
+    return rec, Fraction(closed_total, ht(k)) if remainder else closed, magnitude
 
 
 def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
@@ -97,34 +92,32 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
     ``method`` is ``recursion`` (default, exact ground truth),
     ``closed_form`` (the plain Moebius sum, may disagree on even
     weights with odd sub-weights) or ``both`` for a comparison record.
+    Each method reads one cached triple and so runs the recursion's check.
     Non-free weights are rejected; disconnected supports give 0.
     """
+    if method not in ("recursion", "closed_form", "both"):
+        raise InputError(f"unknown method {method!r}")
     k = check_weight(graph, k)
     if not _is_free(graph, k):
         raise InputError(f"weight {k} is not free")
     if not any(k):
         raise InputError("zero weight has no root")
-    connected = _is_connected(graph, k)
+    rec, closed, magnitude = _mults(graph, k) if _is_connected(graph, k) else (0, 0, 0)
     if method == "recursion":
-        return _mult_recursion(graph, k) if connected else 0
+        return rec
     if method == "closed_form":
-        return _mult_closed_form(graph, k) if connected else 0
-    if method == "both":
-        rec = _mult_recursion(graph, k) if connected else 0
-        closed = _mult_closed_form(graph, k) if connected else 0
-        return MultRecord(
-            weight=k,
-            parity="odd" if weight_parity(graph, k) else "even",
-            recursion=rec,
-            closed_form=closed,
-            agree=(closed == rec),
-            linear_coefficient=Fraction(_magnitude(graph, k), ht(k)),
-        )
-    raise InputError(f"unknown method {method!r}")
+        return closed
+    return MultRecord(weight=k, parity="odd" if weight_parity(graph, k) else "even",
+                      recursion=rec, closed_form=closed, agree=(closed == rec),
+                      linear_coefficient=Fraction(magnitude, ht(k)))
 
 
 @dataclass(frozen=True)
 class MultRecord:
+    """Both methods at one weight.  ``linear_coefficient`` (JSON
+    ``linear_coeff``) is the magnitude |M_k| / ht(k), while
+    ``chromatic.linear_coefficient`` keeps the sign: on one edge at (1, 1)
+    the record reads 1 and the coefficient is -1."""
     weight: tuple[int, ...]
     parity: str
     recursion: int

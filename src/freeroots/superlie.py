@@ -226,7 +226,11 @@ def bracket_expand(p: HeapPolynomial, q: HeapPolynomial) -> HeapPolynomial:
             c *= sign
             word, crossings = _superpose_plain(twin, f._word, e._word)
             out[word] = out.get(word, 0) + (-c if (crossings & odd_pairs).bit_count() & 1 else c)
-    return HeapPolynomial(graph, {_intern(graph, w): c for w, c in out.items() if c})
+    # every heap is interned over graph and every coefficient is nonzero,
+    # so the result skips the constructor's two walks over the terms
+    result = HeapPolynomial(graph)
+    result.terms = {_intern(graph, w): c for w, c in out.items() if c}
+    return result
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,17 +31,15 @@ def snapshot(graph):
 def test_clear_caches_empties_every_cache_and_the_registry(path6):
     caches = module_caches()
     for name in ("freeroots.chromatic._tuple_counts",
-                 "freeroots.chromatic._log_count",
                  "freeroots.chromatic._log_table",
                  "freeroots.chromatic._nonempty_independent_sets",
-                 "freeroots.multiplicity._mult_recursion",
+                 "freeroots.multiplicity._mults",
                  "freeroots.heaps._superpose_plain",
                  "freeroots.superlie.expand_monomial",
                  "freeroots.supergraph.plain"):
         assert name in caches
     before = snapshot(path6)
     assert heaps._REGISTRY
-    assert caches["freeroots.chromatic._log_count"].cache_info().currsize
     assert caches["freeroots.chromatic._log_table"].cache_info().currsize
     clear_caches()
     assert {name: f.cache_info().currsize for name, f in caches.items()

@@ -79,6 +79,12 @@ def test_non_free_weight_rejected(tree6):
         mult_free_root(tree6, (0, 0, 0, 0, 0, 0))
 
 
+def test_unknown_method_is_refused_before_the_weight(tree6):
+    for k in ((0, 0, 1, 0, 0, 1), (2, 0, 0, 0, 0, 0), (1, 1)):
+        with pytest.raises(InputError, match="unknown method 'closed'"):
+            mult_free_root(tree6, k, "closed")
+
+
 def test_disconnected_support_gives_zero(p4):
     assert mult_free_root(p4, (1, 0, 1, 0)) == 0
     assert mult_free_root(p4, (1, 0, 1, 0), "closed_form") == 0
@@ -136,13 +142,18 @@ def oracle_record(graph, k):
 
 def assert_matches_oracle(graph, k):
     """``linear_coefficient`` and, on a free nonzero weight, the record of
-    both methods equal the oracles', field by field and type by type."""
+    both methods and each method alone equal the oracles', field by field
+    and type by type."""
     got = linear_coefficient(graph, k)
     assert got == oracle_linear_coefficient(graph, k) and type(got) is Fraction, (graph, k)
     if any(k) and is_free_weight(graph, k):
         record, want = mult_free_root(graph, k, "both"), oracle_record(graph, k)
         assert record == want, (graph, k)
         assert list(map(type, astuple(record))) == list(map(type, astuple(want))), (graph, k)
+        for method, value in (("recursion", want.recursion),
+                              ("closed_form", want.closed_form)):
+            got = mult_free_root(graph, k, method)
+            assert got == value and type(got) is type(value), (graph, k, method)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,6 +191,22 @@ def test_recursion_refuses_a_remainder_or_a_negative_value(
     with pytest.raises(ConsistencyError) as info:
         mult_free_root(graph, k)
     assert str(info.value) == f"multiplicity recursion gave {shown} at weight {k}"
+
+
+def test_each_free_weight_reads_its_log_count_once(tree6, fresh_caches, monkeypatch):
+    """The recursion, the closed form and the record share one read of M_k
+    per weight, and a weight k takes each k/l's values from k/l's triple."""
+    import freeroots.multiplicity as mm
+    real, calls = mm._log_count, []
+
+    def counted(graph, k):
+        calls.append(k)
+        return real(graph, k)
+    monkeypatch.setattr(mm, "_log_count", counted)
+    table = free_roots_up_to(tree6, (1, 1, 2, 1, 1, 2))
+    assert any(math.gcd(*w) > 1 for w in table.entries)
+    assert len(calls) == len(table.entries)
+    assert sorted(calls) == sorted(table.entries)
 
 
 # ---------------------------------------------------------------------------
