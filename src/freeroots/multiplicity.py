@@ -73,11 +73,11 @@ def _mults(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, int | Fraction, 
     rec_total = closed_total = magnitude
     for l in divisors(weight_gcd(k))[1:]:
         sub = divide_weight(k, l)
-        sub_rec, _, sub_magnitude = _mults(graph, sub)
+        sub_rec, _, sub_m = _mults(graph, sub)
         # s_l = (-1)^(l+1) for an odd sub-weight, 1 for an even one
         sign = (-1) ** ((l + 1) * weight_parity(graph, sub))
         rec_total -= sign * ht(sub) * sub_rec
-        closed_total += moebius(l) * sub_magnitude
+        closed_total += moebius(l) * sub_m
     rec, remainder = divmod(rec_total, ht(k))
     if remainder or rec < 0:
         raise ConsistencyError(
