@@ -5,12 +5,12 @@ get disjoint sets is an integer-valued polynomial in the number of colours
 q.  Each route computes its integer coefficients c_m in the binomial basis
 C(q, m): directly, as counts of ordered m-tuples of independent sets; by the
 clique-join graph, as m! times its partitions into m independent blocks,
-taken from the same independent-set walk in ``supergraph``; by
-the bond-lattice expansion, whose coefficients are root multiplicities, as
-forward differences of its values at q = 0..ht(k).  Only ``_from_binomial``
-builds a polynomial, for output: one integer conversion to the monomial
-basis, then one Fraction per coefficient.  The routes must agree, as tuples
-with trailing zeros dropped, and the tests and ``verify all`` enforce that.
+taken from the same independent-set walk in ``supergraph``; by the
+bond-lattice expansion, whose coefficients are root multiplicities, as
+[x^k] (G - 1)^m of one product G over the connected blocks.  Only
+``_from_binomial`` builds a polynomial, for output: one integer conversion to
+the monomial basis, then one Fraction per coefficient.  The routes must agree,
+as tuples with trailing zeros dropped; the tests and ``verify all`` check it.
 
 The multiplicities need only the coefficient of q, which is [x^k] log I(G, x)
 for the independence polynomial I.  ``_log_count`` gives it as one integer
@@ -19,8 +19,8 @@ independent sets, with no tuple counts; ``linear_coefficient`` is
 M_k / ht(k).  It packs each weight into one integer, so a step is one
 subtraction and a memo lookup hashes an int, and it walks an explicit
 stack, so it has no height limit.  Its packed memo, one per width, is the
-only store of M.  The tuple counts, the join partitions and
-``bond_lattice`` still recurse once per unit of height.
+only store of M.  Only the tuple counts, the join partitions and the
+public ``bond_lattice`` listing still recurse once per unit of height.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 
 from .errors import InputError
@@ -353,42 +352,36 @@ def bond_lattice(graph: Supergraph, k) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _bond_counts(graph: Supergraph, k) -> tuple[int, ...]:
-    """Binomial-basis coefficients by the bond-lattice expansion.
-
-    Each block's free-root multiplicity ``mult`` comes from
-    ``multiplicity.mult_free_root``.  Blocks of even weight contribute
-    C(q*mult, D) and blocks of odd weight C(-q*mult, D), with a sign from
-    the number of blocks and of odd blocks.  Only free weights are
-    accepted, and k is checked before any multiplicity is looked up.  Block
-    parities add up to k's, so the odd blocks number k's parity mod 2.  The
-    values at q = 0..ht(k) are summed in integers; their forward
-    differences are c.
+    """Binomial-basis coefficients by the bond-lattice expansion, c_m =
+    [x^k] (G - 1)^m for G = prod_b (1 - e_b x^b)^s_b over the blocks b <= k of
+    connected support: s_b is b's ``mult_free_root``, negated for an odd
+    block, and e_b = (-1)^(ht(b) + p(b)).  A block taken d times gives
+    (-1)^d C(s_b q, d) e_b^d, the x^(d b) coefficient of (1 - e_b x^b)^(s_b q);
+    the e_b^d multiply to the expansion's sign (-1)^(ht(k) + p(k)), since
+    height and parity add.  So the sum over the multisets, none of them
+    listed, is [x^k] G^q = sum_m C(q, m) [x^k] (G - 1)^m.  Only free weights
+    are accepted, and k is checked before any multiplicity is looked up.
     """
     # multiplicity imports this module, so the import waits for the call
-    from .multiplicity import mult_free_root
+    from .multiplicity import mult_free_root, _times_power, _above
     k = check_weight(graph, k)
     if not is_free_weight(graph, k):
         raise InputError(f"weight {k} is not free")
-    points = range(ht(k) + 1)
-    flip = ht(k) + weight_parity(graph, k)
-    scales = {}  # block -> its multiplicity, negated for an odd block
-    columns = {}  # (scale, d) -> C(scale * q, d) at every point
-    values = [0] * len(points)
-    for partition in bond_lattice(graph, k):
-        term = [(-1) ** (len(partition) + flip)] * len(points)
-        for block, d in Counter(partition).items():
-            if block not in scales:
-                scales[block] = ((-1) ** weight_parity(graph, block)
-                                 * mult_free_root(graph, block))
-            key = (scales[block], d)
-            if key not in columns:
-                columns[key] = [_choose(key[0] * q, d) for q in points]
-            term = [t * c for t, c in zip(term, columns[key])]
-        values = [v + t for v, t in zip(values, term)]
-    counts = []
-    while values:
-        counts.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
+    weights = list(weights_up_to(k))
+    series = [1] + [0] * (len(weights) - 1)  # G; a weight's index is its code
+    for b in filter(functools.partial(_is_connected, graph), weights):
+        flip = (-1) ** weight_parity(graph, b)
+        _times_power(series, k, b, flip * mult_free_root(graph, b), -flip * (-1) ** ht(b))
+    terms = [(c, cw, _above(k, w)) for cw, (w, c) in enumerate(zip(weights, series)) if cw and c]
+    power = [1] + [0] * (len(weights) - 1)  # (G - 1)^m; k is the last entry
+    counts = [power[-1]]
+    for _ in range(ht(k)):
+        product = [0] * len(power)
+        for c, cw, box in terms:
+            for v, _ in box:
+                product[v] += c * power[v - cw]
+        power = product
+        counts.append(power[-1])
     return _trimmed(counts)
 
 

@@ -31,7 +31,6 @@ checked wherever both are computed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +40,7 @@ from .supergraph import Supergraph, plain, check_weight, support, ht, \
     weights_up_to, _nonempty_independent_sets
 # enumerate_heaps stays bound here: perfbench/selftest.py checks that tracing wraps it
 from .heaps import enumerate_heaps, _super_lyndon_counts  # noqa: F401
-from .chromatic import _log_count
+from .chromatic import _log_count, _choose
 
 
 def moebius(n: int) -> int:
@@ -193,6 +192,16 @@ def _above(cap, w) -> list[tuple[int, int]]:
     return out
 
 
+def _times_power(series: list, cap, w, n: int, sign: int) -> None:
+    """Multiply ``series`` in place by (1 + sign x^w)^n for any integer n and
+    nonzero w <= cap: each v >= w, highest first, adds sign^j C(n, j) x^(j w)."""
+    box = _above(cap, w)
+    cw = box[-1][0]  # the least v >= w is w
+    factor = [sign ** j * _choose(n, j) for j in range(box[0][1] + 1)]
+    for v, top in box:
+        series[v] += sum(factor[j] * series[v - j * cw] for j in range(1, top + 1))
+
+
 def verify_pbw(graph: Supergraph, cap) -> SeriesReport:
     """Graded dimension identity of the enveloping algebra.
 
@@ -202,18 +211,15 @@ def verify_pbw(graph: Supergraph, cap) -> SeriesReport:
     polynomially, odd ones exterior-like; a mismatch pins the first bad
     coefficient.  Both sides are integer counts from one walk of standard
     words: all words and the super Lyndon words, per weight.  Each factor
-    multiplies the series in place, from the highest weight down.
+    multiplies in place by ``_times_power``, as in the bond route too.
     """
     cap = check_weight(graph, cap)
     heaps, dims = _super_lyndon_counts(graph, cap)
     rhs = [1] + [0] * (len(heaps) - 1)
-    for cw, (w, d) in enumerate(zip(weights_up_to(cap), dims)):
+    for w, d in zip(weights_up_to(cap), dims):
         if d:
-            even = weight_parity(graph, w) == 0
-            factor = [math.comb(d - 1 + j, j) if even else math.comb(d, j)
-                      for j in range(min(c // x for c, x in zip(cap, w) if x) + 1)]
-            for v, top in _above(cap, w):
-                rhs[v] += sum(factor[j] * rhs[v - j * cw] for j in range(1, top + 1))
+            sign = 1 if weight_parity(graph, w) else -1
+            _times_power(rhs, cap, w, sign * d, sign)
     return _series_compare(heaps, rhs, cap, "heap series vs graded product")
 
 

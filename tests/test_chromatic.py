@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from freeroots import InputError, Supergraph
+from freeroots import InputError, Supergraph, chromatic
 from freeroots.chromatic import (RationalPoly, k_chromatic_direct, k_chromatic_join,
                                  k_chromatic_bond, bond_lattice,
                                  linear_coefficient, _nonempty_independent_sets,
@@ -66,8 +66,8 @@ def test_choose_q():
 
 
 def test_binomial_poly_negative_argument():
-    """C(-q, 2) = q(q+1)/2, built as the bond route builds an odd block's
-    factor: integer values at q = 0..2, their forward differences, one
+    """C(-q, 2) = q(q+1)/2, an odd block's binomial in the bond-lattice
+    expansion: integer values at q = 0..2, their forward differences, one
     conversion."""
     values = [_choose(-q, 2) for q in range(8)]
     assert values == [m * (m + 1) // 2 for m in range(8)]
@@ -461,6 +461,18 @@ def test_routes_agree_as_integer_tuples():
         join = _join_counts(graph, k)
         bond = _bond_counts(graph, k)
         assert direct == join == bond and direct[-1], (graph, k)
+
+
+def test_bond_route_lists_no_partition(monkeypatch):
+    """The bond route reads one truncated product, so it still equals the
+    tuple counts with ``bond_lattice`` refusing every call.  On tree6 at
+    (0, 0, 20, 0, 0, 20) the listing of the multisets is too long to wait for."""
+    def refuse(*args):
+        raise AssertionError("the bond route listed the bond lattice")
+    monkeypatch.setattr(chromatic, "bond_lattice", refuse)
+    tall = load_graph(os.path.join(SAMPLE_GRAPHS, "tree6.json"))[0], (0, 0, 20, 0, 0, 20)
+    for graph, k in itertools.chain(bond_cases(), [tall]):
+        assert _bond_counts(graph, k) == _tuple_counts(plain(graph), k), (graph, k)
 
 
 def test_integer_choose_matches_falling_factorial():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import astuple
 
 import pytest
@@ -11,7 +12,8 @@ from freeroots.chromatic import _tuple_counts, linear_coefficient
 from freeroots.heaps import _super_lyndon_counts, enumerate_heaps, super_lyndon_heaps
 from freeroots.multiplicity import (moebius, divisors, mult_free_root,
                                     free_roots_up_to, verify_pbw,
-                                    verify_cartier_foata, SeriesReport, MultRecord)
+                                    verify_cartier_foata, SeriesReport, MultRecord,
+                                    _times_power)
 from freeroots.supergraph import (independent_sets, is_connected_support,
                                   is_free_weight, plain, support, weight_parity,
                                   weights_up_to)
@@ -272,6 +274,31 @@ def test_pbw_detects_wrong_dimension(monkeypatch):
     assert not report.ok and report.first_mismatch == (2,)
     assert (report.expected, report.got) == (want.expected, want.got) == (0, 1)
     assert report == want
+
+
+def test_times_power_is_the_binomial_series():
+    """(1 + sign x^w)^n on the unit series leaves sign^j C(n, j) at j w and 0
+    elsewhere, C(n, j) being the falling factorial over j!; and n then -n
+    restores any series.  ``verify_pbw`` takes (-1, n < 0) and (1, n > 0);
+    the bond route takes all four."""
+    cap = (2, 1, 2)
+    weights = list(weights_up_to(cap))
+    rng = random.Random(5)
+    for w in weights[1:]:
+        for n in range(-3, 4):
+            for sign in (1, -1):
+                unit = [1] + [0] * (len(weights) - 1)
+                _times_power(unit, cap, w, n, sign)
+                expected = {}
+                for j in range(min(c // x for c, x in zip(cap, w) if x) + 1):
+                    binomial = math.prod(n - i for i in range(j)) // math.factorial(j)
+                    expected[tuple(j * x for x in w)] = sign ** j * binomial
+                assert unit == [expected.get(v, 0) for v in weights], (w, n, sign)
+                series = [rng.randint(-9, 9) for _ in weights]
+                original = list(series)
+                _times_power(series, cap, w, n, sign)
+                _times_power(series, cap, w, -n, sign)
+                assert series == original, (w, n, sign)
 
 
 def test_cartier_foata_detects_wrong_heap_count(monkeypatch):
