@@ -18,9 +18,13 @@ per weight, M_k = ht(k) [x^k] log I(G, x), by a recursion over the same
 independent sets, with no tuple counts; ``linear_coefficient`` is
 M_k / ht(k).  It packs each weight into one integer, so a step is one
 subtraction and a memo lookup hashes an int, and it walks an explicit
-stack, so it has no height limit.  Its packed memo, one per width, is the
-only store of M.  Only the tuple counts, the join partitions and the
-public ``bond_lattice`` listing still recurse once per unit of height.
+stack, so it has no height limit.  A weight of disconnected support has
+M_k = 0, since log I of a disjoint union has no mixed coefficient: the
+kernel learns the connectivity of each support once, with its steps, and
+gives such a weight 0 without descending into its children.  Its packed
+memo, one per width, is the only store of M.  Only the tuple counts, the
+join partitions and the public ``bond_lattice`` listing still recurse once
+per unit of height.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, ht, \
-    weight_parity, join_graph, _is_connected, is_free_weight, weights_up_to, \
-    _independent_walk, _nonempty_independent_sets
+    weight_parity, join_graph, _is_connected, _is_connected_mask, is_free_weight, \
+    weights_up_to, _independent_walk, _nonempty_independent_sets
 
 
 class RationalPoly:
@@ -219,8 +223,9 @@ def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
 def _log_table(graph: Supergraph, width: int) -> tuple[dict, dict, int]:
     """The state ``_log_count`` keeps for weights packed ``width`` bits a
     vertex: M by packed weight, holding M_0 = 0; the packed nonempty
-    independent steps by packed support, filled on first use; and ``low``,
-    whose bit width*v is set for every vertex v."""
+    independent steps by packed support, filled on first use and empty for
+    a disconnected support; and ``low``, whose bit width*v is set for every
+    vertex v."""
     return {0: 0}, {}, sum(1 << width * v for v in range(graph.n))
 
 
@@ -231,6 +236,8 @@ def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
     Euler's operator turns I = exp(log I) into I * D(log I) = D(I), whose
     coefficient at k reads M_k = ht(k) [k is a 0/1 independent set] minus
     the sum of M_(k-S) over the nonempty independent S in supp(k); M_0 = 0.
+    A weight of disconnected support, k itself or a child, has M_k = 0: its
+    support gets no steps, so it is stored as 0 and nothing below it is read.
 
     A weight is one integer, entry v in the ``width`` bits from width*v on,
     with width = max(k).bit_length(); a step S is the integer with bit
@@ -262,10 +269,14 @@ def _log_count(graph: Supergraph, k: tuple[int, ...]) -> int:
         steps = steps_at.get(spread)
         if steps is None:
             verts = [v for v in range(graph.n) if spread >> width * v & 1]
-            steps = steps_at[spread] = [sum(1 << width * v for v in sub) for sub, _
-                                        in _independent_walk(graph, verts)[1:]]
+            if _is_connected_mask(graph, sum(1 << v for v in verts)):
+                steps = [sum(1 << width * v for v in sub) for sub, _
+                         in _independent_walk(graph, verts)[1:]]
+            else:
+                steps = ()  # M is 0 here: no child is read
+            steps_at[spread] = steps
         # y is a 0/1 independent set exactly when it is the last step
-        total = spread.bit_count() if steps[-1] == y else 0
+        total = spread.bit_count() if steps and steps[-1] == y else 0
         i = 0
         while True:
             for i in range(i, len(steps)):

@@ -5,7 +5,8 @@ coefficients of k-chromatic polynomials.  The coefficient of q at k is
 M_k / ht(k), where the integer M_k = ht(k) [x^k] log I(G, x) comes from
 ``chromatic._log_count``, so no polynomial and no tuple count is built.
 That kernel works on weights packed into integers and keeps its own
-stack, so a multiplicity has no height limit.
+stack, so a multiplicity has no height limit; at a disconnected support it
+gives 0 without descending, so no entry point tests connectivity first.
 Both methods are integer sums over the divisors l of gcd(k), divided once
 by ht(k).  One cached triple per weight, (recursion, closed form, |M_k|),
 feeds both: it reads |M_k| once and takes each k/l's values from k/l's
@@ -66,8 +67,10 @@ def divisors(n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def _mults(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, int | Fraction, int]:
-    """(recursion, closed form, |M_k|) at a checked free weight of connected
-    support; each k/l has k's support, so its own triple serves both sums."""
+    """(recursion, closed form, |M_k|) at a checked nonzero free weight;
+    each k/l has k's support, so its own triple serves both sums.  On a
+    disconnected support the kernel gives |M_k| = 0 and so every k/l does:
+    the triple is (0, 0, 0)."""
     magnitude = abs(_log_count(plain(graph), k))
     rec_total = closed_total = magnitude
     for l in divisors(weight_gcd(k))[1:]:
@@ -92,7 +95,8 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
     ``closed_form`` (the plain Moebius sum, may disagree on even
     weights with odd sub-weights) or ``both`` for a comparison record.
     Each method reads one cached triple and so runs the recursion's check.
-    Non-free weights are rejected; disconnected supports give 0.
+    Non-free weights are rejected; a disconnected support gives 0, from the
+    kernel, which stores 0 there without descending.
     """
     if method not in ("recursion", "closed_form", "both"):
         raise InputError(f"unknown method {method!r}")
@@ -101,11 +105,15 @@ def mult_free_root(graph: Supergraph, k, method: str = "recursion"):
         raise InputError(f"weight {k} is not free")
     if not any(k):
         raise InputError("zero weight has no root")
-    rec, closed, magnitude = _mults(graph, k) if _is_connected(graph, k) else (0, 0, 0)
-    if method == "recursion":
-        return rec
-    if method == "closed_form":
-        return closed
+    if method == "both":
+        return _record(graph, k)
+    rec, closed, _ = _mults(graph, k)
+    return rec if method == "recursion" else closed
+
+
+def _record(graph: Supergraph, k: tuple[int, ...]) -> MultRecord:
+    """Both methods at a checked nonzero free weight, from its triple."""
+    rec, closed, magnitude = _mults(graph, k)
     return MultRecord(weight=k, parity="odd" if weight_parity(graph, k) else "even",
                       recursion=rec, closed_form=closed, agree=(closed == rec),
                       linear_coefficient=Fraction(magnitude, ht(k)))
@@ -154,12 +162,16 @@ class MultiplicityTable:
 
 
 def free_roots_up_to(graph: Supergraph, cap) -> MultiplicityTable:
-    """Every free, connected-support weight <= cap with both method values."""
+    """Every free, connected-support weight <= cap with both method values.
+
+    The cap is checked once; each weight the filter keeps is already a
+    checked nonzero free weight, so its record is built directly.
+    """
     cap = check_weight(graph, cap)
     table = MultiplicityTable(graph, cap)
     for w in weights_up_to(cap):
         if any(w) and _is_free(graph, w) and _is_connected(graph, w):
-            table.entries[w] = mult_free_root(graph, w, method="both")
+            table.entries[w] = _record(graph, w)
     return table
 
 

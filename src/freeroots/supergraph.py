@@ -171,15 +171,23 @@ def plain(graph: Supergraph) -> Supergraph:
 # Weight helpers.  A weight is a tuple of non-negative ints in vertex order.
 
 def check_weight(graph: Supergraph, k) -> tuple[int, ...]:
+    """``k`` as a tuple of exact ints, one per vertex, none negative.
+
+    Every pass over the entries runs in C: a bool is refused before
+    ``operator.index`` would read it as 0 or 1.
+    """
     try:
-        k = tuple(map(_integer, k))
+        entries = tuple(k)
+        if bool in map(type, entries):
+            raise TypeError
+        entries = tuple(map(operator.index, entries))
     except TypeError:
         raise InputError(f"weight entries must be integers, got {k!r}") from None
-    if len(k) != graph.n:
-        raise InputError(f"weight has {len(k)} entries, graph has {graph.n} vertices")
-    if any(x < 0 for x in k):
-        raise InputError(f"negative weight entry in {k}")
-    return k
+    if len(entries) != graph.n:
+        raise InputError(f"weight has {len(entries)} entries, graph has {graph.n} vertices")
+    if entries and min(entries) < 0:
+        raise InputError(f"negative weight entry in {entries}")
+    return entries
 
 
 def ht(k) -> int:
@@ -234,7 +242,12 @@ def is_connected_support(graph: Supergraph, k) -> bool:
 
 
 def _is_connected(graph: Supergraph, k: tuple[int, ...]) -> bool:
-    mask = support_mask(k)
+    return _is_connected_mask(graph, support_mask(k))
+
+
+def _is_connected_mask(graph: Supergraph, mask: int) -> bool:
+    """True if the vertices of the bit mask induce a connected nonempty
+    subgraph: one search from the lowest vertex reaches them all."""
     if mask == 0:
         return False
     start = (mask & -mask).bit_length() - 1

@@ -243,6 +243,25 @@ def test_linear_coefficient_matches_direct_polynomial():
             assert got == k_chromatic_direct(graph, k).coefficient(1), (graph, k)
 
 
+def test_log_count_walks_only_connected_supports(fresh_caches, monkeypatch):
+    """M is 0 on a disconnected support, so the kernel stores 0 there and
+    never lists that support's independent sets, nor descends below it."""
+    walked = []
+    real = chromatic._independent_walk
+
+    def recording(graph, verts):
+        walked.append((graph, tuple(verts)))
+        return real(graph, verts)
+    monkeypatch.setattr(chromatic, "_independent_walk", recording)
+    for graph in graphs_up_to_4_and_samples():
+        for k in itertools.product(range(3), repeat=graph.n):
+            _log_count(plain(graph), k)
+    assert walked
+    for graph, verts in walked:
+        assert is_connected_support(graph, [int(v in verts) for v in range(graph.n)]), \
+            (graph, verts)
+
+
 def test_independent_sets_cached_per_support():
     for graph in graphs_up_to_4_and_samples():
         twin = plain(graph)

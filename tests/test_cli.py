@@ -270,11 +270,9 @@ def test_verify_all_full_cap(tree6_file, capsys):
     assert any("independence inversion" in n for n in names)
 
 
-def _recursion_plus_one(mult_free_root):
-    def broken(graph, k, method="recursion"):
-        got = mult_free_root(graph, k, method=method)
-        if method != "both":
-            return got
+def _recursion_plus_one(record):
+    def broken(graph, k):
+        got = record(graph, k)
         return dataclasses.replace(got, recursion=got.recursion + 1)
     return broken
 
@@ -287,7 +285,8 @@ def _one_join_count_bumped(join_counts):
 
 
 @pytest.mark.parametrize("module, name, breaker, check", [
-    (multiplicity, "mult_free_root", _recursion_plus_one, "dimension agreement"),
+    # the record builder behind mult_free_root(..., "both") and every table row
+    (multiplicity, "_record", _recursion_plus_one, "dimension agreement"),
     (chromatic, "_join_counts", _one_join_count_bumped, "chromatic route agreement"),
 ])
 def test_verify_all_fails_the_check_a_fault_breaks(module, name, breaker, check,

@@ -92,6 +92,22 @@ def test_disconnected_support_gives_zero(p4):
     assert mult_free_root(p4, (1, 0, 1, 0), "closed_form") == 0
 
 
+def test_disconnected_free_weights_give_zero_records():
+    """Every free weight of disconnected support with entries <= 2, on every
+    supergraph on at most 4 vertices: both methods give 0, and so does the
+    record, whose methods agree."""
+    for n in range(1, 5):
+        for graph in small_supergraphs(n):
+            for k in itertools.product(range(3), repeat=n):
+                if not any(k) or is_connected_support(graph, k) \
+                        or not is_free_weight(graph, k):
+                    continue
+                assert mult_free_root(graph, k, "recursion") == 0, (graph, k)
+                assert mult_free_root(graph, k, "closed_form") == 0, (graph, k)
+                record = mult_free_root(graph, k, "both")
+                assert record.linear_coefficient == 0 and record.agree, (graph, k)
+
+
 def test_mult_equals_heap_count_sweep():
     graphs = [
         Supergraph(["a", "b", "c"], [(0, 1), (1, 2)], psi=["a"]),

@@ -16,7 +16,8 @@ from freeroots import (Supergraph, BkmSupermatrix, InputError,
                        independent_sets, graph_from_document, parse_weight,
                        enumerate_heaps, mult_free_root)
 from freeroots import clear_caches, supergraph
-from freeroots.supergraph import plain, weights_up_to, support, ht, \
+from freeroots.chromatic import linear_coefficient
+from freeroots.supergraph import plain, weights_up_to, support, ht, check_weight, \
     _nonempty_independent_sets
 from conftest import MALFORMED_DOCUMENTS
 from heap_oracles import relabel
@@ -294,12 +295,36 @@ def test_parse_weight(tree6):
         parse_weight(tree6, "a,b,c,d,e,f")
 
 
-@pytest.mark.parametrize("k", [(1.5, 1), (2.9, 1), ("x", 1), ("1", 1), (True, 1), 5])
+@pytest.mark.parametrize("k", [(1.5, 1), (2.9, 1), ("x", 1), ("1", 1), (True, 1),
+                               (1, True), (None, 1), 5])
 def test_non_integer_weight_is_input_error(k):
     g = Supergraph(["a", "b"], [(0, 1)])
-    for call in (mult_free_root, enumerate_heaps):
-        with pytest.raises(InputError):
+    for call in (mult_free_root, enumerate_heaps, linear_coefficient):
+        with pytest.raises(InputError, match=re.escape(f"weight entries must be integers, got {k!r}")):
             call(g, k)
+    for bad, message in (((0, -1), "negative weight entry in (0, -1)"),
+                         ((1, 1, 1), "weight has 3 entries, graph has 2 vertices")):
+        with pytest.raises(InputError) as info:
+            check_weight(g, bad)
+        assert str(info.value) == message
+
+
+class _Index:
+    """An integer-like object that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("k", [(x for x in (1, 2)), [1, 2], (_Index(1), 2), [1, _Index(2)]],
+                         ids=["generator", "list", "index-first", "index-last"])
+def test_integer_like_weights_become_tuples_of_int(k):
+    got = check_weight(Supergraph(["a", "b"], [(0, 1)]), k)
+    assert got == (1, 2) and type(got) is tuple
+    assert all(type(x) is int for x in got)
 
 
 # ---------------------------------------------------------------------------
