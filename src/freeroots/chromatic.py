@@ -3,26 +3,28 @@
 The multicoloring count where vertex i receives k_i colours and neighbours
 get disjoint sets is an integer-valued polynomial in the number of colours
 q.  Each route computes its integer coefficients c_m in the binomial basis
-C(q, m): directly, as counts of ordered m-tuples of independent sets; by the
-clique-join graph, as m! times its partitions into m independent blocks,
-taken from the same independent-set walk in ``supergraph``; by the
-bond-lattice expansion, whose coefficients are root multiplicities, as
-[x^k] (G - 1)^m of one product G over the connected blocks.  Only
-``_from_binomial`` builds a polynomial, for output: one integer conversion to
-the monomial basis, then one Fraction per coefficient.  The routes must agree,
-as tuples with trailing zeros dropped; the tests and ``verify all`` check it.
+C(q, m).  Two routes read them as c_m = [x^k] (F - 1)^m, since F^q =
+sum_m C(q, m) (F - 1)^m, through one product loop on flat truncated series:
+directly with F = I, the independence polynomial, so c_m counts ordered
+m-tuples of nonempty independent sets; by the bond-lattice expansion with
+F = G, one product over the connected blocks whose exponents are root
+multiplicities.  The join route takes m! times the partitions of the
+clique-join graph into m independent blocks, from the same independent-set
+walk in ``supergraph``.  Only ``_from_binomial`` builds a polynomial, for
+output: one integer conversion to the monomial basis, then one Fraction per
+coefficient.  The routes must agree, as tuples with trailing zeros dropped;
+the tests and ``verify all`` check it, and since I = G that checks G at k.
 
-The multiplicities need only the coefficient of q, which is [x^k] log I(G, x)
-for the independence polynomial I.  ``_log_count`` gives it as one integer
-per weight, M_k = ht(k) [x^k] log I(G, x), by a recursion over the same
-independent sets, with no tuple counts; ``linear_coefficient`` is
-M_k / ht(k).  It packs each weight into one integer, so a step is one
-subtraction and a memo lookup hashes an int, and it walks an explicit
-stack, so it has no height limit.  A weight of disconnected support has
-M_k = 0, since log I of a disjoint union has no mixed coefficient: the
-kernel learns the connectivity of each support once, with its steps, and
-gives such a weight 0 without descending into its children.  Its packed
-memo, one per width, is the only store of M.  Only the tuple counts, the
+The multiplicities need only the coefficient of q, which is [x^k] log I(G, x).
+``_log_count`` gives it as one integer per weight, M_k = ht(k) [x^k] log I,
+by a recursion over the same independent sets, with no tuple counts;
+``linear_coefficient`` is M_k / ht(k).  It packs each weight into one
+integer, so a step is one subtraction and a memo lookup hashes an int, and
+it walks an explicit stack, so it has no height limit.  A weight of
+disconnected support has M_k = 0, since log I of a disjoint union has no
+mixed coefficient: the kernel learns the connectivity of each support once,
+with its steps, and gives such a weight 0 without descending into its
+children.  Its packed memo, one per width, is the only store of M.  Only the
 join partitions and the public ``bond_lattice`` listing still recurse once
 per unit of height.
 """
@@ -30,6 +32,7 @@ per unit of height.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -37,7 +40,7 @@ from fractions import Fraction
 from .errors import InputError
 from .supergraph import Supergraph, plain, check_weight, support, ht, \
     weight_parity, join_graph, _is_connected, _is_connected_mask, is_free_weight, \
-    weights_up_to, _independent_walk, _nonempty_independent_sets
+    weights_up_to, _independent_walk
 
 
 class RationalPoly:
@@ -99,44 +102,32 @@ class RationalPoly:
     def factored(self) -> str | None:
         """scale * prod (q - r) when all roots are small integers, else None.
 
-        A nonzero constant is its own value.
+        A nonzero constant is its own value.  The polynomial is scaled once
+        to integers, so each division by (q - r) is synthetic, in ``int``.
         """
         if not self:
             return None
+        denominator = math.lcm(*(c.denominator for c in self.coeffs))
+        work = [int(c * denominator) for c in reversed(self.coeffs)]  # highest first
         counts = {}
-        work = self
         for r in range(0, self.degree() + 1):
-            while work.degree() >= 1:
-                quotient, remainder = _divide_linear(work, r)
-                if remainder:
+            while len(work) > 1:
+                quotient = list(itertools.accumulate(work, lambda acc, c: acc * r + c))
+                if quotient.pop():
                     break
                 work = quotient
                 counts[r] = counts.get(r, 0) + 1
-        if work.degree() != 0:
+        if len(work) != 1:
             return None
-        scale = work.coeffs[0]
+        scale = Fraction(work[0], denominator)
         if not counts:
             return str(scale)
-        pieces = []
-        for r in sorted(counts):
-            base = "q" if r == 0 else f"(q-{r})"
-            pieces.append(base + (f"^{counts[r]}" if counts[r] > 1 else ""))
-        head = "" if scale == 1 else f"{scale} * "
-        return head + "".join(pieces)
+        pieces = [("q" if r == 0 else f"(q-{r})") + (f"^{counts[r]}" if counts[r] > 1 else "")
+                  for r in sorted(counts)]
+        return ("" if scale == 1 else f"{scale} * ") + "".join(pieces)
 
     def __repr__(self):
         return f"RationalPoly({self.pretty()})"
-
-
-def _divide_linear(poly: RationalPoly, root: int) -> tuple[RationalPoly, Fraction]:
-    """(poly // (q - root), poly(root)) by one pass of synthetic division."""
-    acc = Fraction(0)
-    out = []
-    for c in reversed(poly.coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    remainder = out.pop()
-    return RationalPoly(reversed(out)), remainder
 
 
 def _trimmed(counts) -> tuple[int, ...]:
@@ -169,6 +160,66 @@ def _from_binomial(counts) -> RationalPoly:
 def _choose(n: int, d: int) -> int:
     """C(n, d) for any integer n, using C(-x, d) = (-1)^d C(x+d-1, d)."""
     return math.comb(n, d) if n >= 0 else (-1) ** d * math.comb(d - n - 1, d)
+
+
+# ---------------------------------------------------------------------------
+# Truncated series: flat integer lists indexed by the codes of ``weights_up_to(cap)``.
+
+def _above(cap, w) -> list[tuple[int, int]]:
+    """(code of v, greatest j with j w <= v) for each w <= v <= cap, highest first."""
+    out = [(0, sum(cap))]
+    for c, x in zip(cap, w):
+        out = [(code * (c + 1) + a, min(j, a // x) if x else j)
+               for code, j in out for a in range(c, x - 1, -1)]
+    return out
+
+
+def _times_power(series: list, cap, w, n: int, sign: int) -> None:
+    """Multiply ``series`` in place by (1 + sign x^w)^n for any integer n and
+    nonzero w <= cap: each v >= w, highest first, adds sign^j C(n, j) x^(j w)."""
+    box = _above(cap, w)
+    cw = box[-1][0]  # the least v >= w is w
+    factor = [sign ** j * _choose(n, j) for j in range(box[0][1] + 1)]
+    for v, top in box:
+        series[v] += sum(factor[j] * series[v - j * cw] for j in range(1, top + 1))
+
+
+def _terms(series: list, cap) -> list[tuple[int, int, list]]:
+    """(c, code of w, ``_above(cap, w)``) for each nonzero term c x^w of ``series``."""
+    return [(c, cw, _above(cap, w))
+            for cw, (w, c) in enumerate(zip(weights_up_to(cap), series)) if c]
+
+
+def _times_terms(series: list, terms) -> list:
+    """``series`` times the sum of the ``_terms``, truncated at their cap."""
+    product = [0] * len(series)
+    for c, cw, box in terms:
+        for v, _ in box:
+            product[v] += c * series[v - cw]
+    return product
+
+
+def _independence_series(graph: Supergraph, cap, sign: int = 1) -> list:
+    """I(G, x) truncated at cap, with x^S weighted by sign^|S|: one entry per
+    independent 0/1 weight S <= cap, from one walk over supp(cap)."""
+    places = [math.prod(c + 1 for c in cap[v + 1:]) for v in range(len(cap))]  # unit codes
+    series = [0] * math.prod(c + 1 for c in cap)
+    for sub, _ in _independent_walk(graph, support(cap)):
+        series[sum(places[v] for v in sub)] = sign ** len(sub)
+    return series
+
+
+def _binomial_counts(series: list, k) -> tuple[int, ...]:
+    """c_m = [x^k] (F - 1)^m for m = 0..ht(k), trailing zeros dropped, for the
+    series F truncated at k with constant term 1: F^q = sum_m C(q, m) (F - 1)^m,
+    so these are the binomial-basis coefficients of [x^k] F^q."""
+    terms = _terms(series, k)[1:]  # F - 1
+    power = [1] + [0] * (len(series) - 1)  # (F - 1)^m; k is the last entry
+    counts = [power[-1]]
+    for _ in range(ht(k)):
+        power = _times_terms(power, terms)
+        counts.append(power[-1])
+    return _trimmed(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +256,10 @@ def _partition_counts(graph: Supergraph) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _tuple_counts(graph: Supergraph, k: tuple[int, ...]) -> tuple[int, ...]:
     """Number of ordered tuples of nonempty independent sets realizing k,
-    indexed by tuple length; memoized on the remaining weight.
-
-    These are the coefficients of the k-chromatic polynomial in the
-    binomial basis C(q, m): each colour class is one set of the tuple.
-    """
-    if not any(k):
-        return (1,)
-    acc = [0] * (ht(k) + 1)
-    for step in _nonempty_independent_sets(graph, support(k)):
-        for m, cnt in enumerate(_tuple_counts(graph, tuple(map(operator.sub, k, step)))):
-            acc[m + 1] += cnt
-    return _trimmed(acc)
+    indexed by tuple length: c_m = [x^k] (I - 1)^m.  These are the
+    coefficients of the k-chromatic polynomial in the binomial basis
+    C(q, m): each colour class is one set of the tuple."""
+    return _binomial_counts(_independence_series(graph, k), k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,11 +413,10 @@ def _bond_counts(graph: Supergraph, k) -> tuple[int, ...]:
     (-1)^d C(s_b q, d) e_b^d, the x^(d b) coefficient of (1 - e_b x^b)^(s_b q);
     the e_b^d multiply to the expansion's sign (-1)^(ht(k) + p(k)), since
     height and parity add.  So the sum over the multisets, none of them
-    listed, is [x^k] G^q = sum_m C(q, m) [x^k] (G - 1)^m.  Only free weights
-    are accepted, and k is checked before any multiplicity is looked up.
-    """
+    listed, is [x^k] G^q.  Only free weights are accepted, and k is checked
+    before any multiplicity is looked up."""
     # multiplicity imports this module, so the import waits for the call
-    from .multiplicity import mult_free_root, _times_power, _above
+    from .multiplicity import mult_free_root
     k = check_weight(graph, k)
     if not is_free_weight(graph, k):
         raise InputError(f"weight {k} is not free")
@@ -383,17 +425,7 @@ def _bond_counts(graph: Supergraph, k) -> tuple[int, ...]:
     for b in filter(functools.partial(_is_connected, graph), weights):
         flip = (-1) ** weight_parity(graph, b)
         _times_power(series, k, b, flip * mult_free_root(graph, b), -flip * (-1) ** ht(b))
-    terms = [(c, cw, _above(k, w)) for cw, (w, c) in enumerate(zip(weights, series)) if cw and c]
-    power = [1] + [0] * (len(weights) - 1)  # (G - 1)^m; k is the last entry
-    counts = [power[-1]]
-    for _ in range(ht(k)):
-        product = [0] * len(power)
-        for c, cw, box in terms:
-            for v, _ in box:
-                product[v] += c * power[v - cw]
-        power = product
-        counts.append(power[-1])
-    return _trimmed(counts)
+    return _binomial_counts(series, k)
 
 
 def k_chromatic_bond(graph: Supergraph, k) -> RationalPoly:

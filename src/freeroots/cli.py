@@ -403,8 +403,8 @@ def main(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The tuple counts and the join partitions recurse once per unit of
-        # height; the multiplicity kernel and the bond route do not.
+        # The join partitions and the bracket trees of the bases recurse
+        # once per unit of height; the series routes and M_k do not.
         print("error: the weight is too tall: maximum recursion depth exceeded",
               file=sys.stderr)
         return 1

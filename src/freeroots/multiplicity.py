@@ -27,7 +27,9 @@ The two agree unless an even l has an odd sub-weight k/l (a square of an
 odd root); disagreements are reported, never averaged, and the recursion
 is the ground truth: it matches the super Lyndon heap count, which is
 checked wherever both are computed.
-"""
+
+The series oracles multiply flat truncated series with the helpers in
+``chromatic``, the product loops its chromatic routes run too."""
 
 from __future__ import annotations
 
@@ -36,12 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, ConsistencyError
-from .supergraph import Supergraph, plain, check_weight, support, ht, \
+from .supergraph import Supergraph, plain, check_weight, ht, \
     weight_parity, weight_gcd, divide_weight, _is_free, _is_connected, \
-    weights_up_to, _nonempty_independent_sets
+    weights_up_to
 # enumerate_heaps stays bound here: perfbench/selftest.py checks that tracing wraps it
 from .heaps import enumerate_heaps, _super_lyndon_counts  # noqa: F401
-from .chromatic import _log_count, _choose
+from .chromatic import _log_count, _times_power, _terms, _times_terms, \
+    _independence_series
 
 
 def moebius(n: int) -> int:
@@ -176,8 +179,7 @@ def free_roots_up_to(graph: Supergraph, cap) -> MultiplicityTable:
 
 
 # ---------------------------------------------------------------------------
-# Series oracles.  Both work with truncated multivariate series represented
-# as flat integer lists indexed like ``weights_up_to(cap)``.
+# Series oracles, on the truncated series of ``chromatic``.
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -193,25 +195,6 @@ class SeriesReport:
             out.update({"first_mismatch": list(self.first_mismatch),
                         "expected": self.expected, "got": self.got})
         return out
-
-
-def _above(cap, w) -> list[tuple[int, int]]:
-    """(code of v, greatest j with j w <= v) for each w <= v <= cap, highest first."""
-    out = [(0, sum(cap))]
-    for c, x in zip(cap, w):
-        out = [(code * (c + 1) + a, min(j, a // x) if x else j)
-               for code, j in out for a in range(c, x - 1, -1)]
-    return out
-
-
-def _times_power(series: list, cap, w, n: int, sign: int) -> None:
-    """Multiply ``series`` in place by (1 + sign x^w)^n for any integer n and
-    nonzero w <= cap: each v >= w, highest first, adds sign^j C(n, j) x^(j w)."""
-    box = _above(cap, w)
-    cw = box[-1][0]  # the least v >= w is w
-    factor = [sign ** j * _choose(n, j) for j in range(box[0][1] + 1)]
-    for v, top in box:
-        series[v] += sum(factor[j] * series[v - j * cw] for j in range(1, top + 1))
 
 
 def verify_pbw(graph: Supergraph, cap) -> SeriesReport:
@@ -244,12 +227,7 @@ def verify_cartier_foata(graph: Supergraph, cap) -> SeriesReport:
     """
     cap = check_weight(graph, cap)
     heaps, _ = _super_lyndon_counts(graph, cap)
-    product = [0] * len(heaps)
-    for step in ((0,) * graph.n, *_nonempty_independent_sets(plain(graph), support(cap))):
-        box = _above(cap, step)
-        sign, cw = (-1) ** ht(step), box[-1][0]  # the least v >= w is w
-        for v, _ in box:
-            product[v] += sign * heaps[v - cw]
+    product = _times_terms(heaps, _terms(_independence_series(graph, cap, -1), cap))
     unit = [1] + [0] * (len(heaps) - 1)
     return _series_compare(product, unit, cap, "heap series times alternating independence sum")
 

@@ -16,8 +16,8 @@ graph nothing refers to is freed as usual.
 Weights are plain tuples of non-negative integers in vertex order.
 
 One walk finds the independent vertex sets: ``independent_sets`` sorts
-them, the chromatic counts and the Cartier-Foata check read them per
-support as cached 0/1 steps, and the join route takes its blocks from it.
+them, M_k reads them per support as packed steps, the independence series
+sets one entry per set, and the join route takes its blocks from it.
 """
 
 from __future__ import annotations
@@ -286,16 +286,6 @@ def independent_sets(graph: Supergraph, restrict=None) -> list[tuple[int, ...]]:
     verts = range(graph.n) if restrict is None else \
         sorted(_vertex_set(graph._index, restrict, "restrict"))
     return sorted(sorted(sub for sub, _ in _independent_walk(graph, verts)), key=len)
-
-
-@functools.lru_cache(maxsize=None)
-def _nonempty_independent_sets(graph: Supergraph,
-                               sup: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The nonempty independent subsets of a support as 0/1 weight steps,
-    listed once per support; the last is the support itself when it is
-    independent."""
-    return tuple(tuple(int(v in sub) for v in range(graph.n))
-                 for sub in independent_sets(graph, sup)[1:])
 
 
 def join_graph(graph: Supergraph, k) -> Supergraph:

@@ -32,7 +32,6 @@ def test_clear_caches_empties_every_cache_and_the_registry(path6):
     caches = module_caches()
     for name in ("freeroots.chromatic._tuple_counts",
                  "freeroots.chromatic._log_table",
-                 "freeroots.chromatic._nonempty_independent_sets",
                  "freeroots.multiplicity._mults",
                  "freeroots.heaps._superpose_plain",
                  "freeroots.superlie.expand_monomial",

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from freeroots import InputError, Supergraph, chromatic
 from freeroots.chromatic import (RationalPoly, k_chromatic_direct, k_chromatic_join,
                                  k_chromatic_bond, bond_lattice,
-                                 linear_coefficient, _nonempty_independent_sets,
-                                 _choose, _from_binomial, _tuple_counts,
+                                 linear_coefficient, _choose, _from_binomial, _tuple_counts,
                                  _join_counts, _bond_counts, _log_count)
 from freeroots.multiplicity import mult_free_root
 from freeroots.supergraph import (ht, is_connected_support, is_free_weight,
@@ -91,6 +90,54 @@ def test_factored_nonzero_constant_is_its_value():
     assert RationalPoly((-1,)).factored() == "-1"
     assert RationalPoly((Fraction(1, 2),)).factored() == "1/2"
     assert RationalPoly(()).factored() is None
+
+
+def fraction_factored(poly):
+    """``RationalPoly.factored`` by synthetic division in ``Fraction``: the
+    version the integer one replaced, kept as its oracle."""
+    if not poly:
+        return None
+    counts = {}
+    work = list(poly.coeffs)
+    for r in range(0, poly.degree() + 1):
+        while len(work) > 1:
+            acc, quotient = Fraction(0), []
+            for c in reversed(work):
+                acc = acc * r + c
+                quotient.append(acc)
+            if quotient.pop():
+                break
+            work = quotient[::-1]
+            counts[r] = counts.get(r, 0) + 1
+    if len(work) != 1:
+        return None
+    scale = work[0]
+    if not counts:
+        return str(scale)
+    pieces = [("q" if r == 0 else f"(q-{r})") + (f"^{counts[r]}" if counts[r] > 1 else "")
+              for r in sorted(counts)]
+    return ("" if scale == 1 else f"{scale} * ") + "".join(pieces)
+
+
+FACTORED_HAND_CASES = (
+    (),  # zero
+    (Fraction(-7, 3),),  # a constant
+    (1, 1),  # a root at -1
+    (-1, 2),  # the root 1/2
+    (0, 0, Fraction(3, 2), Fraction(-3, 2), Fraction(3, 8)),  # 3/8 q^2 (q-2)^2
+    (-6, 11, -6, 1),  # (q-1)(q-2)(q-3)
+    (0, 0, 0, 0, 1),  # q^4
+    (Fraction(1, 6), 1, 1),  # no rational root
+)
+
+
+def test_integer_factored_matches_the_fraction_division():
+    polys = [RationalPoly(c) for c in FACTORED_HAND_CASES]
+    polys += [k_chromatic_direct(graph, k) for graph, k in bond_cases()]
+    for poly in polys:
+        assert poly.factored() == fraction_factored(poly), poly
+    assert [p.factored() for p in polys[:6]] == [
+        None, "-7/3", None, None, "3/8 * q^2(q-2)^2", "(q-1)(q-2)(q-3)"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -262,20 +309,17 @@ def test_log_count_walks_only_connected_supports(fresh_caches, monkeypatch):
             (graph, verts)
 
 
-def test_independent_sets_cached_per_support():
-    for graph in graphs_up_to_4_and_samples():
-        twin = plain(graph)
-        for r in range(graph.n + 1):
-            for sup in itertools.combinations(range(graph.n), r):
-                expected = tuple(tuple(int(v in sub) for v in range(graph.n))
-                                 for sub in independent_sets(twin, sup)[1:])
-                assert _nonempty_independent_sets(twin, sup) == expected
-
-
 def test_linear_coefficient_vanishes_on_the_zero_weight():
     for graph in graphs_up_to_4_and_samples():
         got = linear_coefficient(graph, (0,) * graph.n)
         assert got == 0 and type(got) is Fraction
+
+
+def independent_steps(graph, k):
+    """The nonempty independent subsets of supp(k) as 0/1 weights, from the
+    public ``independent_sets``; the support itself is last when independent."""
+    return [tuple(int(v in sub) for v in range(graph.n))
+            for sub in independent_sets(graph, support(k))[1:]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,11 +328,45 @@ def tuple_log_count(graph, k):
     the definition the packed kernel is checked against."""
     if not any(k):
         return 0
-    steps = _nonempty_independent_sets(graph, support(k))
+    steps = independent_steps(graph, k)
     total = ht(k) if steps[-1] == k else 0
     for step in steps:
         total -= tuple_log_count(graph, tuple(map(operator.sub, k, step)))
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_tuple_counts(graph, k):
+    """Ordered tuples of nonempty independent sets realizing k, by length,
+    trailing zeros dropped: a recursion over the first set S of the tuple,
+    one cached call per sub-weight k - S.  The definition the series route
+    ``_tuple_counts`` is checked against."""
+    if not any(k):
+        return (1,)
+    acc = [0] * (ht(k) + 1)
+    for step in independent_steps(graph, k):
+        for m, cnt in enumerate(recursive_tuple_counts(graph, tuple(map(operator.sub, k, step)))):
+            acc[m + 1] += cnt
+    while not acc[-1]:
+        acc.pop()
+    return tuple(acc)
+
+
+def test_tuple_counts_match_the_recursion():
+    """The series route equals the recursion on every weight under cap 2."""
+    for graph in graphs_up_to_4_and_samples():
+        twin = plain(graph)
+        for k in weights_up_to((2,) * twin.n):
+            assert _tuple_counts(twin, k) == recursive_tuple_counts(twin, k), (graph, k)
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (3, 4), (250, 250)])
+def test_tuple_counts_on_one_edge_are_one_binomial(tree6, a, b, fresh_caches):
+    """On tree6's edge {3, 6}, I = 1 + x3 + x6: a tuple realizing (a, b) is
+    a word in {3} and {6}, so c_(a+b) = C(a+b, a) is the only nonzero
+    count.  At (250, 250) the recursion went past Python's limit."""
+    k = (0, 0, a, 0, 0, b)
+    assert _tuple_counts(plain(tree6), k) == (0,) * (a + b) + (math.comb(a + b, a),)
 
 
 def test_packed_log_count_matches_the_tuple_recursion(fresh_caches):

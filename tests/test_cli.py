@@ -313,16 +313,19 @@ def test_verify_all_fails_route_agreement_on_a_shifted_log_count(
     assert failed == {"dimension agreement", "chromatic route agreement"}, failed
 
 
-@pytest.mark.parametrize("command", [["chromatic"], ["chromatic", "--method", "join"]],
-                         ids=["chromatic", "chromatic-join"])
-def test_tall_weight_is_one_error_line(command, tree6_file, capsys, fresh_caches):
+@pytest.mark.parametrize("command, weight", [
+    (["basis", "lyndon"], "0,0,499,0,0,1"),
+    (["chromatic", "--method", "join"], "0,0,250,0,0,250"),
+], ids=["basis-lyndon", "chromatic-join"])
+def test_tall_weight_is_one_error_line(command, weight, tree6_file, capsys, fresh_caches):
     """Past the recursion limit a command fails with one line, no traceback:
-    the direct and join routes still recurse once per unit of height.
+    the bracket trees of the bases and the join partitions still recurse
+    once per unit of height.
 
     The caches start empty, so how deep the kernels recurse does not depend
     on the weights that earlier tests computed.
     """
-    assert main([*command, "--graph", tree6_file, "--weight", "0,0,250,0,0,250"]) == 1
+    assert main([*command, "--graph", tree6_file, "--weight", weight]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: the weight is too tall: maximum recursion depth exceeded\n"

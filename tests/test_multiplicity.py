@@ -8,17 +8,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from freeroots import InputError, ConsistencyError, Supergraph
-from freeroots.chromatic import _tuple_counts, linear_coefficient
+from freeroots.chromatic import linear_coefficient, _times_power
 from freeroots.heaps import _super_lyndon_counts, enumerate_heaps, super_lyndon_heaps
 from freeroots.multiplicity import (moebius, divisors, mult_free_root,
                                     free_roots_up_to, verify_pbw,
-                                    verify_cartier_foata, SeriesReport, MultRecord,
-                                    _times_power)
+                                    verify_cartier_foata, SeriesReport, MultRecord)
 from freeroots.supergraph import (independent_sets, is_connected_support,
                                   is_free_weight, plain, support, weight_parity,
                                   weights_up_to)
 
 from conftest import shifted_log_count
+from test_chromatic import recursive_tuple_counts
 
 
 def test_moebius():
@@ -127,7 +127,7 @@ def test_mult_equals_heap_count_sweep():
 # counts c_m, and both methods as Fraction sums of its magnitude.
 
 def oracle_linear_coefficient(graph, k):
-    counts = _tuple_counts(plain(graph), k)
+    counts = recursive_tuple_counts(plain(graph), k)
     return sum((Fraction((-1) ** (m - 1) * c, m) for m, c in enumerate(counts) if m),
                Fraction(0))
 

@@ -17,8 +17,7 @@ from freeroots import (Supergraph, BkmSupermatrix, InputError,
                        enumerate_heaps, mult_free_root)
 from freeroots import clear_caches, supergraph
 from freeroots.chromatic import linear_coefficient
-from freeroots.supergraph import plain, weights_up_to, support, ht, check_weight, \
-    _nonempty_independent_sets
+from freeroots.supergraph import plain, weights_up_to, support, ht, check_weight
 from conftest import MALFORMED_DOCUMENTS
 from heap_oracles import relabel
 from test_chromatic import graphs_up_to_4_and_samples
@@ -227,11 +226,6 @@ def test_independent_set_walk_matches_the_pairwise_scan():
                 names = [graph.names[v] for v in sup]
                 assert independent_sets(graph, sup) == expected
                 assert independent_sets(graph, names[::-1] + names[:1]) == expected
-                steps = _nonempty_independent_sets(graph, sup)
-                assert steps == tuple(tuple(int(v in sub) for v in range(graph.n))
-                                      for sub in expected[1:])
-                if sup and expected[-1] == sup:
-                    assert steps[-1] == tuple(int(v in sup) for v in range(graph.n))
 
 
 def test_independent_sets_p4_brute(p4):
