@@ -29,7 +29,7 @@ is the ground truth: it matches the super Lyndon heap count, which is
 checked wherever both are computed.
 
 The series oracles multiply flat truncated series with the helpers in
-``chromatic``, the product loops its chromatic routes run too."""
+``chromatic``, whose product loop the chromatic routes run too."""
 
 from __future__ import annotations
 

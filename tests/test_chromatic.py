@@ -364,7 +364,7 @@ def test_tuple_counts_match_the_recursion():
 def test_tuple_counts_on_one_edge_are_one_binomial(tree6, a, b, fresh_caches):
     """On tree6's edge {3, 6}, I = 1 + x3 + x6: a tuple realizing (a, b) is
     a word in {3} and {6}, so c_(a+b) = C(a+b, a) is the only nonzero
-    count.  At (250, 250) the recursion went past Python's limit."""
+    count.  (250, 250) is deeper than a recursion over k - S can go."""
     k = (0, 0, a, 0, 0, b)
     assert _tuple_counts(plain(tree6), k) == (0,) * (a + b) + (math.comb(a + b, a),)
 

@@ -124,7 +124,8 @@ def test_mult_equals_heap_count_sweep():
 # ---------------------------------------------------------------------------
 # The routes the integer kernel M_k = ht(k) [x^k] log I(G, x) replaced, kept
 # as oracles: the linear coefficient sum_m (-1)^(m-1) c_m / m over the tuple
-# counts c_m, and both methods as Fraction sums of its magnitude.
+# counts c_m of the recursive definition, not of the series code the
+# program runs, and both methods as Fraction sums of its magnitude.
 
 def oracle_linear_coefficient(graph, k):
     counts = recursive_tuple_counts(plain(graph), k)
